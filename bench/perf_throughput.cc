@@ -2,13 +2,13 @@
  * @file
  * Simulator performance harness (google-benchmark): trace generation
  * throughput, cache-only replay throughput, full epoch-engine
- * throughput on each commercial workload, and on-disk trace decode
- * throughput for each container (raw v1 vs delta v3 vs chunked v4).
+ * throughput on each commercial workload, and on-disk v4 trace decode
+ * throughput.
  *
- * The decode benchmarks default to a generated database-profile trace
- * written to a temp file in every container; pass `--trace PATH` to
- * measure decode of an existing trace file instead (the flag is
- * consumed here, before google-benchmark parses the rest).
+ * The decode benchmark defaults to a generated database-profile trace
+ * written to a temp file; pass `--trace PATH` to measure decode of an
+ * existing trace file instead (the flag is consumed here, before
+ * google-benchmark parses the rest).
  */
 
 #include <benchmark/benchmark.h>
@@ -168,29 +168,17 @@ main(int argc, char **argv)
     }
     int bench_argc = static_cast<int>(args.size());
 
-    std::vector<std::string> temp_files;
+    std::string temp_file;
     if (trace_path.empty()) {
-        // Same records in every container, so the three decode rates
-        // are directly comparable.
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 1);
         Trace trace = gen.generate(200000);
-        std::string base = "/tmp/storemlp_perf_decode_";
-        std::string v1 = base + "v1.trc";
-        std::string v3 = base + "v3.trc";
-        std::string v4 = base + "v4.trc";
-        writeTraceFile(v1, trace);
-        writeTraceFileV3(v3, trace, "bench", /*compressed=*/true);
-        writeTraceFileV4(v4, trace, "bench");
-        temp_files = {v1, v3, v4};
-        benchmark::RegisterBenchmark(
-            "BM_TraceDecode_V1Raw",
-            [v1](benchmark::State &s) { traceDecodeBench(s, v1); });
-        benchmark::RegisterBenchmark(
-            "BM_TraceDecode_V3Delta",
-            [v3](benchmark::State &s) { traceDecodeBench(s, v3); });
+        temp_file = "/tmp/storemlp_perf_decode_v4.trc";
+        writeTraceFileV4(temp_file, trace, "bench");
         benchmark::RegisterBenchmark(
             "BM_TraceDecode_V4Chunked",
-            [v4](benchmark::State &s) { traceDecodeBench(s, v4); });
+            [temp_file](benchmark::State &s) {
+                traceDecodeBench(s, temp_file);
+            });
     } else {
         benchmark::RegisterBenchmark(
             "BM_TraceDecode_File",
@@ -204,7 +192,7 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    for (const std::string &f : temp_files)
-        std::remove(f.c_str());
+    if (!temp_file.empty())
+        std::remove(temp_file.c_str());
     return 0;
 }

@@ -242,43 +242,6 @@ SweepEngine::execute(const SweepRequest &request,
     return executeWith(opts, runs, observer);
 }
 
-std::vector<SweepResult>
-SweepEngine::run(const std::vector<RunSpec> &specs)
-{
-    std::vector<PlannedRun> runs(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-        runs[i].name = specs[i].config.name;
-        runs[i].configName = specs[i].config.name;
-        runs[i].spec = specs[i];
-    }
-    std::vector<RunOutcome> outcomes = execute(runs);
-    std::vector<SweepResult> results(outcomes.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        results[i].output = std::move(outcomes[i].output);
-        results[i].wallMs = outcomes[i].wallMs;
-        results[i].traceCacheHit = outcomes[i].traceCacheHit;
-        results[i].ok = outcomes[i].ok;
-        results[i].attempts = outcomes[i].attempts;
-        results[i].errorMessage = std::move(outcomes[i].errorMessage);
-    }
-    return results;
-}
-
-std::vector<RunOutput>
-SweepEngine::runOutputs(const std::vector<RunSpec> &specs)
-{
-    std::vector<SweepResult> res = run(specs);
-    std::vector<RunOutput> outs;
-    outs.reserve(res.size());
-    for (size_t i = 0; i < res.size(); ++i) {
-        // errorMessage already carries the run index + config name.
-        if (!res[i].ok)
-            throw SimError(res[i].errorMessage);
-        outs.push_back(std::move(res[i].output));
-    }
-    return outs;
-}
-
 void
 SweepEngine::exportStats(StatsRegistry &reg) const
 {
@@ -343,12 +306,6 @@ parallelForEach(const std::vector<std::function<void()>> &tasks,
             t.join();
     }
     return statuses;
-}
-
-std::vector<TaskStatus>
-SweepEngine::runTasks(const std::vector<std::function<void()>> &tasks)
-{
-    return parallelForEach(tasks, _opts.jobs);
 }
 
 } // namespace storemlp

@@ -14,7 +14,7 @@
  * is an immutable trace, and result slots are index-addressed.
  *
  * Faults are contained per run: an exception thrown by trace
- * construction or by the runner marks that run's `SweepResult` as
+ * construction or by the runner marks that run's `RunOutcome` as
  * failed (`ok == false`, diagnostic in `errorMessage`) and the sweep
  * continues — one corrupt configuration or transient failure never
  * discards the other N-1 results or terminates the process.
@@ -81,20 +81,6 @@ struct SweepOptions
     static bool progressFromEnv();
 };
 
-/** One completed run: its output plus per-run observability. */
-struct SweepResult
-{
-    RunOutput output;
-    double wallMs = 0.0;        ///< wall-clock time of this run
-    bool traceCacheHit = false; ///< input trace came from the cache
-    /** Run completed; when false `output` is default-initialized. */
-    bool ok = true;
-    /** Attempts consumed (1 unless maxAttempts retried the run). */
-    unsigned attempts = 1;
-    /** Diagnostic from the last failed attempt when !ok. */
-    std::string errorMessage;
-};
-
 /** Outcome of one `parallelForEach` task. */
 struct TaskStatus
 {
@@ -104,9 +90,9 @@ struct TaskStatus
 
 /**
  * One completed planned run: identity (so a result streamed over a
- * wire is self-describing) plus the output and per-run observability
- * that `SweepResult` carried. This is the result half of the
- * transport-agnostic job API (`SweepRequest` -> `RunOutcome`).
+ * wire is self-describing) plus the output and per-run observability.
+ * This is the result half of the transport-agnostic job API
+ * (`SweepRequest` -> `RunOutcome`).
  */
 struct RunOutcome
 {
@@ -178,28 +164,6 @@ class SweepEngine
      */
     std::vector<RunOutcome> execute(const SweepRequest &request,
                                     const RunObserver &observer = {});
-
-    /**
-     * DEPRECATED (removal next PR): pre-RunOutcome surface. Wraps
-     * execute() over name-less planned runs and strips run identity
-     * from the outcomes. New callers use execute().
-     */
-    std::vector<SweepResult> run(const std::vector<RunSpec> &specs);
-
-    /**
-     * DEPRECATED (removal next PR): outputs only, submission order,
-     * throwing on the first failed run. New callers use execute()
-     * and inspect per-run `ok`.
-     */
-    std::vector<RunOutput> runOutputs(const std::vector<RunSpec> &specs);
-
-    /**
-     * DEPRECATED (removal next PR): generic task fan-out. Forwards to
-     * the free `parallelForEach` with this engine's job count — the
-     * engine itself now only executes sweep-shaped work.
-     */
-    std::vector<TaskStatus>
-    runTasks(const std::vector<std::function<void()>> &tasks);
 
     /** Valid only when constructed with a non-null cache. */
     TraceCache &traceCache() { return *_cache; }

@@ -202,7 +202,10 @@ scanCtrl(const uint8_t *c, uint64_t n)
 
 // ---- batch varint decode ----------------------------------------------
 
-/** One bounds-checked varint; same acceptance rules as the v2 reader. */
+/**
+ * One bounds-checked varint: rejects varints longer than 10 bytes and
+ * varints cut short by the end of the stream.
+ */
 inline uint64_t
 getVarintChecked(const uint8_t *p, uint64_t len, uint64_t &off)
 {

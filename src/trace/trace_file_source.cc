@@ -6,7 +6,6 @@
 #include "trace/trace_file_source.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 
 #include "trace/trace_codec.hh"
@@ -31,22 +30,7 @@ namespace
 
 using namespace trace_format;
 
-uint64_t
-getVarintBuf(const uint8_t *base, uint64_t size, uint64_t &off)
-{
-    uint64_t v = 0;
-    for (unsigned shift = 0; shift < 70; shift += 7) {
-        if (off >= size)
-            throw TraceFormatError("truncated varint");
-        uint8_t c = base[off++];
-        v |= static_cast<uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return v;
-    }
-    throw TraceFormatError("overlong varint");
-}
-
-/** v4 index entry `idx`, read straight from the mapped index bytes. */
+/** Index entry `idx`, read straight from the mapped index bytes. */
 trace_codec::V4IndexEntry
 v4Entry(const uint8_t *data, uint64_t index_off, uint64_t idx)
 {
@@ -56,9 +40,8 @@ v4Entry(const uint8_t *data, uint64_t index_off, uint64_t idx)
 
 } // namespace
 
-StreamingFileSource::StreamingFileSource(const std::string &path,
-                                         uint64_t chunk_insts)
-    : TraceSource(chunk_insts), _path(path)
+StreamingFileSource::StreamingFileSource(const std::string &path)
+    : TraceSource(kDefaultChunkInsts), _path(path)
 {
 #if STOREMLP_HAVE_MMAP
     _fd = ::open(path.c_str(), O_RDONLY);
@@ -99,95 +82,61 @@ StreamingFileSource::StreamingFileSource(const std::string &path,
 #endif
 
     // ---- parse the header from the mapping ----
-    uint64_t off = 0;
     if (_fileBytes < kMagicBytes)
         throw TraceFormatError("bad trace magic");
-    if (std::memcmp(_data, kMagicV1, kMagicBytes) == 0) {
-        _bodyFormat = 1;
-        off = kMagicBytes;
-    } else if (std::memcmp(_data, kMagicV2, kMagicBytes) == 0) {
-        _bodyFormat = 2;
-        off = kMagicBytes;
-    } else if (std::memcmp(_data, kMagicV3, kMagicBytes) == 0 ||
-               std::memcmp(_data, kMagicV4, kMagicBytes) == 0) {
-        bool v4 = std::memcmp(_data, kMagicV4, kMagicBytes) == 0;
-        off = kMagicBytes;
-        if (off + 5 > _fileBytes)
-            throw TraceFormatError("truncated trace header");
-        uint8_t fmt = _data[off++];
-        bool known = v4 ? fmt == kBodyChunked
-                        : (fmt == kBodyFixed || fmt == kBodyDelta);
-        if (!known) {
-            throw TraceFormatError("unknown v" + std::string(v4 ? "4" : "3") +
-                                   " body format " + std::to_string(fmt));
-        }
-        _bodyFormat = fmt;
-        uint32_t len = getU32(_data + off);
-        off += 4;
-        if (len > kMaxMetaBytes) {
-            throw TraceFormatError(
-                "trace metadata length " + std::to_string(len) +
-                " exceeds limit " + std::to_string(kMaxMetaBytes));
-        }
-        if (off + len > _fileBytes)
-            throw TraceFormatError("truncated trace header");
-        _fingerprint.assign(reinterpret_cast<const char *>(_data + off),
-                            len);
-        off += len;
-    } else {
-        throw TraceFormatError("bad trace magic");
-    }
-
-    if (off + 8 > _fileBytes)
+    checkMagic(_data);
+    uint64_t off = kMagicBytes;
+    if (off + 5 > _fileBytes)
         throw TraceFormatError("truncated trace header");
-    _count = getU64(_data + off);
-    _bodyOff = off + 8;
-
-    if (_bodyFormat == kBodyChunked) {
-        // Chunk geometry, then the whole index validated in place —
-        // O(index) work, no heap: entries are re-read from the
-        // mapping at fetch time.
-        if (_bodyOff + 16 > _fileBytes)
-            throw TraceFormatError("truncated trace header");
-        uint64_t chunk_insts = getU64(_data + _bodyOff);
-        _chunkCount = getU64(_data + _bodyOff + 8);
-        _indexOff = _bodyOff + 16;
-        trace_codec::V4IndexValidator val(_count, chunk_insts,
-                                          _chunkCount);
-        if (_chunkCount > (_fileBytes - _indexOff) / kIndexEntryBytesV4) {
-            throw TraceFormatError(
-                "v4 chunk count " + std::to_string(_chunkCount) +
-                " exceeds stream capacity (" +
-                std::to_string(_fileBytes - _indexOff) +
-                " bytes remain)");
-        }
-        for (uint64_t i = 0; i < _chunkCount; ++i)
-            val.feed(v4Entry(_data, _indexOff, i), i);
-        _bodyOff = _indexOff + _chunkCount * kIndexEntryBytesV4;
-        val.finish(_fileBytes - _bodyOff);
-        // Chunking is non-semantic; serve the file's own geometry so
-        // every fetch is one index lookup plus one chunk decode.
-        if (_chunkCount > 0)
-            _chunkInsts = chunk_insts;
+    uint8_t fmt = _data[off++];
+    if (fmt != kBodyChunked) {
+        throw TraceFormatError("unknown v4 body format " +
+                               std::to_string(fmt));
     }
+    uint32_t len = getU32(_data + off);
+    off += 4;
+    if (len > kMaxMetaBytes) {
+        throw TraceFormatError(
+            "trace metadata length " + std::to_string(len) +
+            " exceeds limit " + std::to_string(kMaxMetaBytes));
+    }
+    if (off + len + 24 > _fileBytes)
+        throw TraceFormatError("truncated trace header");
+    _fingerprint.assign(reinterpret_cast<const char *>(_data + off), len);
+    off += len;
+    _count = getU64(_data + off);
+    uint64_t chunk_insts = getU64(_data + off + 8);
+    _chunkCount = getU64(_data + off + 16);
+    _indexOff = off + 24;
 
-    uint64_t remaining = _fileBytes - _bodyOff;
-    uint64_t min_bytes =
-        _bodyFormat == kBodyFixed ? kRecordBytesV1 : 1;
-    if (_count > remaining / min_bytes) {
+    // The whole index validated in place — O(index) work, no heap:
+    // entries are re-read from the mapping at fetch time.
+    trace_codec::V4IndexValidator val(_count, chunk_insts, _chunkCount);
+    uint64_t remaining = _fileBytes - _indexOff;
+    if (_count > remaining) {
         throw TraceFormatError(
             "trace header count " + std::to_string(_count) +
             " exceeds stream capacity (" + std::to_string(remaining) +
-            " bytes remain, >= " + std::to_string(min_bytes) +
-            " bytes per record)");
+            " bytes remain)");
     }
+    if (_chunkCount > remaining / kIndexEntryBytesV4) {
+        throw TraceFormatError(
+            "v4 chunk count " + std::to_string(_chunkCount) +
+            " exceeds stream capacity (" + std::to_string(remaining) +
+            " bytes remain)");
+    }
+    for (uint64_t i = 0; i < _chunkCount; ++i)
+        val.feed(v4Entry(_data, _indexOff, i), i);
+    _bodyOff = _indexOff + _chunkCount * kIndexEntryBytesV4;
+    val.finish(_fileBytes - _bodyOff);
+    // Chunking is non-semantic; serve the file's own geometry so
+    // every fetch is one index lookup plus one chunk decode.
+    _chunkInsts = chunk_insts;
 
     if (_fingerprint.empty()) {
         _fingerprint =
             "file:" + _path + "|n=" + std::to_string(_count);
     }
-    if (_bodyFormat == 2)
-        _bounds.push_back({_bodyOff, 0});
 }
 
 StreamingFileSource::~StreamingFileSource()
@@ -200,40 +149,16 @@ StreamingFileSource::~StreamingFileSource()
 #endif
 }
 
-std::optional<uint64_t>
-StreamingFileSource::chunkByteBegin(uint64_t chunk_idx) const
-{
-    if (_bodyFormat == kBodyFixed)
-        return _bodyOff + chunk_idx * _chunkInsts * kRecordBytesV1;
-    if (_bodyFormat == kBodyChunked) {
-        if (chunk_idx >= _chunkCount)
-            return std::nullopt;
-        return _bodyOff + v4Entry(_data, _indexOff, chunk_idx).byteOff;
-    }
-    if (chunk_idx >= _bounds.size())
-        return std::nullopt;
-    return _bounds[chunk_idx].byteOff;
-}
-
 void
 StreamingFileSource::readAhead(uint64_t next_chunk_idx) const
 {
 #if STOREMLP_HAVE_MMAP
-    if (!_mapped || next_chunk_idx * _chunkInsts >= _count)
+    if (!_mapped || next_chunk_idx >= _chunkCount)
         return;
-    std::optional<uint64_t> begin_opt = chunkByteBegin(next_chunk_idx);
-    if (!begin_opt)
-        return;
-    uint64_t begin = *begin_opt;
-    uint64_t len;
-    if (_bodyFormat == kBodyChunked) {
-        // The index knows the exact compressed extent.
-        len = v4Entry(_data, _indexOff, next_chunk_idx).byteLen;
-    } else {
-        // Exact for v1; v2 records average well under the v1 width,
-        // and the advice is a hint, so a generous bound is fine.
-        len = _chunkInsts * kRecordBytesV1;
-    }
+    // The index knows the exact compressed extent.
+    trace_codec::V4IndexEntry e = v4Entry(_data, _indexOff, next_chunk_idx);
+    uint64_t begin = _bodyOff + e.byteOff;
+    uint64_t len = e.byteLen;
     if (begin >= _fileBytes)
         return;
     len = std::min(len, _fileBytes - begin);
@@ -253,10 +178,7 @@ StreamingFileSource::releaseBehind(uint64_t chunk_idx) const
 #if STOREMLP_HAVE_MMAP
     if (!_mapped)
         return;
-    std::optional<uint64_t> begin_opt = chunkByteBegin(chunk_idx);
-    if (!begin_opt)
-        return;
-    uint64_t begin = *begin_opt;
+    uint64_t begin = _bodyOff + v4Entry(_data, _indexOff, chunk_idx).byteOff;
     long page = ::sysconf(_SC_PAGESIZE);
     uint64_t mask = page > 0 ? static_cast<uint64_t>(page) - 1 : 4095;
     // Align down so the current chunk's first page stays resident.
@@ -277,85 +199,7 @@ StreamingFileSource::releaseBehind(uint64_t chunk_idx) const
 }
 
 std::vector<TraceRecord>
-StreamingFileSource::decodeV1(uint64_t first, uint64_t n) const
-{
-    std::vector<TraceRecord> records;
-    records.reserve(n);
-    const uint8_t *p = _data + _bodyOff + first * kRecordBytesV1;
-    for (uint64_t i = 0; i < n; ++i, p += kRecordBytesV1) {
-        TraceRecord r;
-        r.pc = getU64(p);
-        r.addr = getU64(p + 8);
-        if (p[16] >= static_cast<uint8_t>(InstClass::NumClasses))
-            throw TraceFormatError("invalid instruction class");
-        r.cls = static_cast<InstClass>(p[16]);
-        r.size = p[17];
-        r.dst = p[18];
-        r.src1 = p[19];
-        r.src2 = p[20];
-        r.flags = p[21];
-        records.push_back(r);
-    }
-    return records;
-}
-
-std::vector<TraceRecord>
-StreamingFileSource::decodeV2Chunk(uint64_t chunk_idx)
-{
-    V2Boundary b = _bounds[chunk_idx];
-    uint64_t first = chunk_idx * _chunkInsts;
-    uint64_t n = std::min<uint64_t>(_chunkInsts, _count - first);
-
-    std::vector<TraceRecord> records;
-    records.reserve(n);
-    uint64_t off = b.byteOff;
-    uint64_t prev_pc = b.prevPc;
-    for (uint64_t i = 0; i < n; ++i) {
-        if (off >= _fileBytes)
-            throw TraceFormatError("truncated trace body");
-        uint8_t ctrl = _data[off++];
-        uint8_t cls_bits = ctrl & 0x0f;
-        if (cls_bits >= static_cast<uint8_t>(InstClass::NumClasses))
-            throw TraceFormatError("invalid instruction class");
-
-        TraceRecord r;
-        r.cls = static_cast<InstClass>(cls_bits);
-        if (ctrl & kCtrlSeqPc) {
-            r.pc = prev_pc + 4;
-        } else {
-            int64_t delta =
-                unzigzag(getVarintBuf(_data, _fileBytes, off));
-            r.pc = static_cast<uint64_t>(
-                static_cast<int64_t>(prev_pc) + delta);
-        }
-        prev_pc = r.pc;
-
-        if (isMemClass(r.cls))
-            r.addr = getVarintBuf(_data, _fileBytes, off);
-        if (ctrl & kCtrlRegs) {
-            if (off + 4 > _fileBytes)
-                throw TraceFormatError("truncated register block");
-            r.size = _data[off];
-            r.dst = _data[off + 1];
-            r.src1 = _data[off + 2];
-            r.src2 = _data[off + 3];
-            off += 4;
-        }
-        if (ctrl & kCtrlFlags) {
-            if (off >= _fileBytes)
-                throw TraceFormatError("truncated flags byte");
-            r.flags = _data[off++];
-        }
-        records.push_back(r);
-    }
-
-    if (chunk_idx + 1 == _bounds.size() && first + n < _count)
-        _bounds.push_back({off, prev_pc});
-    return records;
-}
-
-std::vector<TraceRecord>
-StreamingFileSource::decodeV4ChunkAt(uint64_t chunk_idx) const
+StreamingFileSource::decodeChunk(uint64_t chunk_idx) const
 {
     trace_codec::V4IndexEntry e = v4Entry(_data, _indexOff, chunk_idx);
     // The constructor validated the whole index; re-check this entry's
@@ -375,21 +219,8 @@ StreamingFileSource::fetch(uint64_t chunk_idx)
     uint64_t first = chunk_idx * _chunkInsts;
     if (first >= _count)
         return nullptr;
-    uint64_t n = std::min<uint64_t>(_chunkInsts, _count - first);
 
-    std::vector<TraceRecord> records;
-    if (_bodyFormat == kBodyFixed) {
-        records = decodeV1(first, n);
-    } else if (_bodyFormat == kBodyChunked) {
-        records = decodeV4ChunkAt(chunk_idx);
-    } else {
-        // Walk forward from the last memoized boundary if this chunk
-        // hasn't been reached yet; each crossing memoizes its state,
-        // so the walk happens at most once per chunk per source.
-        while (_bounds.size() <= chunk_idx)
-            decodeV2Chunk(_bounds.size() - 1);
-        records = decodeV2Chunk(chunk_idx);
-    }
+    std::vector<TraceRecord> records = decodeChunk(chunk_idx);
     readAhead(chunk_idx + 1);
     releaseBehind(chunk_idx);
     return std::make_shared<const TraceChunk>(first, std::move(records));

@@ -1,62 +1,46 @@
 /**
  * @file
- * On-disk trace format internals shared by the whole-trace reader
- * (trace_io.cc), the streaming chunk reader (trace_file_source.cc)
- * and the v4 chunk codec (trace_codec.cc).
+ * On-disk trace format internals shared by the whole-trace reader and
+ * writer (trace_io.cc), the streaming chunk reader
+ * (trace_file_source.cc) and the chunk codec (trace_codec.cc).
  *
- * The normative wire-format specification for all four containers —
- * byte layouts, encodings, and corruption-rejection rules — lives in
- * docs/TRACE_FORMAT.md. Summary:
- *
- *  v1 ("SMLPTRC1"): u64 count, then fixed 22-byte LE records.
- *  v2 ("SMLPTRC2"): u64 count, then delta-compressed records — a
- *      control byte (class + presence bits), zigzag-varint pc deltas
- *      (sequential pcs are free), varint addresses, register/flag
- *      bytes only when non-zero. Decoding is stateful: each record's
- *      pc is relative to the previous record's.
- *  v3 ("SMLPTRC3"): a metadata envelope — body-format byte (1 or 2),
- *      u32 fingerprint length + fingerprint string, u64 count, then a
- *      v1 or v2 body. The fingerprint identifies the trace bytes
- *      (profile/seed/length/rewrite) so tools can report provenance
- *      from the header alone.
- *  v4 ("SMLPTRC4"): the v3 envelope (body-format byte 3) plus chunk
- *      geometry (u64 chunk size, u64 chunk count), a chunk index
- *      table (per-chunk record count, byte offset/length, pc/address
- *      seeds), then independently decodable compressed chunks:
- *      zigzag-varint pc deltas, XOR-varint addresses, packed 3-byte
- *      register blocks. The index gives random access and parallel
- *      decode without the v2 sequential-walk restriction.
+ * The library reads and writes one container, v4 ("SMLPTRC4"); the
+ * normative specification (byte layout, encodings, corruption
+ * rejection, reader policy) lives in docs/TRACE_FORMAT.md. Summary:
+ * an envelope (magic, body-format byte 3, u32 fingerprint length +
+ * fingerprint string, u64 record count, u64 chunk size, u64 chunk
+ * count), a chunk index table (per-chunk record count, byte
+ * offset/length, pc/address seeds), then independently decodable
+ * compressed chunks: zigzag-varint pc deltas, XOR-varint addresses,
+ * packed 3-byte register blocks. The index gives random access and
+ * parallel decode. The retired v1-v3 magics are recognized only to be
+ * rejected with a message naming the version (checkMagic).
  */
 
 #ifndef STOREMLP_TRACE_TRACE_FORMAT_HH
 #define STOREMLP_TRACE_TRACE_FORMAT_HH
 
 #include <cstdint>
+#include <cstring>
+#include <string>
+
+#include "trace/trace_io.hh"
 
 namespace storemlp::trace_format
 {
 
-inline constexpr char kMagicV1[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
-                                     '1'};
-inline constexpr char kMagicV2[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
-                                     '2'};
-inline constexpr char kMagicV3[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
-                                     '3'};
 inline constexpr char kMagicV4[8] = {'S', 'M', 'L', 'P', 'T', 'R', 'C',
                                      '4'};
 inline constexpr uint64_t kMagicBytes = 8;
-inline constexpr uint64_t kRecordBytesV1 = 22;
 /** Fingerprint strings longer than this are rejected as corrupt. */
 inline constexpr uint64_t kMaxMetaBytes = 4096;
 
-// Body-format byte of the v3/v4 envelopes.
-inline constexpr uint8_t kBodyFixed = 1;   ///< v1 fixed-width records
-inline constexpr uint8_t kBodyDelta = 2;   ///< v2 delta-compressed
-inline constexpr uint8_t kBodyChunked = 3; ///< v4 chunk-indexed
+/** Body-format byte of the v4 envelope: chunk-indexed records. */
+inline constexpr uint8_t kBodyChunked = 3;
 
-// v2/v4 control byte layout: bits 0-3 class, bit 4 pc==prev+4,
-// bit 5 register/size block present, bit 6 flags byte present.
-// v4 additionally requires the reserved bit 7 to be zero.
+// Control byte layout: bits 0-3 class, bit 4 pc==prev+4, bit 5
+// register/size block present, bit 6 flags byte present, bit 7
+// reserved (must be zero).
 inline constexpr uint8_t kCtrlSeqPc = 1 << 4;
 inline constexpr uint8_t kCtrlRegs = 1 << 5;
 inline constexpr uint8_t kCtrlFlags = 1 << 6;
@@ -89,6 +73,28 @@ inline constexpr uint64_t kMaxChunkInstsV4 = uint64_t{1} << 26;
  * stream. Codes 9..14 are reserved and rejected.
  */
 inline constexpr uint8_t kSizeCodeEscape = 15;
+
+/**
+ * Validate an 8-byte container magic. The retired v1-v3 containers
+ * ("SMLPTRC1".."SMLPTRC3") are rejected with a TraceFormatError naming
+ * the version, anything else that is not v4 with `bad trace magic`.
+ */
+inline void
+checkMagic(const void *magic)
+{
+    const char *m = static_cast<const char *>(magic);
+    if (std::memcmp(m, kMagicV4, kMagicBytes) == 0)
+        return;
+    if (std::memcmp(m, kMagicV4, kMagicBytes - 1) == 0 &&
+        m[kMagicBytes - 1] >= '1' && m[kMagicBytes - 1] <= '3') {
+        std::string v(1, m[kMagicBytes - 1]);
+        throw TraceFormatError(
+            "unsupported v" + v + " trace container (SMLPTRC" + v +
+            "): only v4 is read; regenerate the file with "
+            "storemlp_tracegen");
+    }
+    throw TraceFormatError("bad trace magic");
+}
 
 inline void
 putU64(uint8_t *p, uint64_t v)

@@ -1,24 +1,16 @@
 /**
  * @file
- * Binary trace serialization. Four on-disk containers (normative spec
- * in docs/TRACE_FORMAT.md, constants in trace_format.hh):
- *  v1 ("SMLPTRC1"): fixed 22-byte little-endian records.
- *  v2 ("SMLPTRC2"): delta-compressed — a control byte per record
- *      (class + presence bits), zigzag-varint pc deltas (sequential
- *      pcs are free), varint addresses, and register/flag bytes only
- *      when non-zero.
- *  v3 ("SMLPTRC3"): metadata envelope (body format + provenance
- *      fingerprint + count) around a v1 or v2 body.
- *  v4 ("SMLPTRC4"): the envelope plus chunk geometry, a chunk index,
- *      and independently decodable compressed chunks (trace_codec.cc).
- * readTrace() auto-detects the container by magic.
+ * Binary trace serialization: the v4 container (normative spec in
+ * docs/TRACE_FORMAT.md, constants in trace_format.hh, chunk codec in
+ * trace_codec.cc). An envelope (body format, provenance fingerprint,
+ * record count, chunk geometry), a chunk index, then independently
+ * decodable compressed chunks. The readers reject the retired v1-v3
+ * magics with a message naming the version.
  */
 
 #include "trace/trace_io.hh"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <optional>
@@ -34,192 +26,6 @@ namespace
 {
 
 using namespace trace_format;
-
-void
-putVarint(std::ostream &os, uint64_t v)
-{
-    while (v >= 0x80) {
-        os.put(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    os.put(static_cast<char>(v));
-}
-
-uint64_t
-getVarint(std::istream &is)
-{
-    uint64_t v = 0;
-    for (unsigned shift = 0; shift < 70; shift += 7) {
-        int c = is.get();
-        if (c == EOF)
-            throw TraceFormatError("truncated varint");
-        v |= static_cast<uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return v;
-    }
-    throw TraceFormatError("overlong varint");
-}
-
-void
-writeCountHeader(std::ostream &os, uint64_t count)
-{
-    uint8_t hdr[8];
-    putU64(hdr, count);
-    os.write(reinterpret_cast<const char *>(hdr), sizeof(hdr));
-}
-
-void
-writeV1Body(std::ostream &os, const Trace &trace)
-{
-    std::array<uint8_t, kRecordBytesV1> buf;
-    for (const auto &r : trace.records()) {
-        putU64(buf.data(), r.pc);
-        putU64(buf.data() + 8, r.addr);
-        buf[16] = static_cast<uint8_t>(r.cls);
-        buf[17] = r.size;
-        buf[18] = r.dst;
-        buf[19] = r.src1;
-        buf[20] = r.src2;
-        buf[21] = r.flags;
-        os.write(reinterpret_cast<const char *>(buf.data()), buf.size());
-    }
-}
-
-void
-writeV2Body(std::ostream &os, const Trace &trace)
-{
-    uint64_t prev_pc = 0;
-    for (const auto &r : trace.records()) {
-        bool seq = r.pc == prev_pc + 4;
-        bool regs = r.dst || r.src1 || r.src2 || r.size;
-        uint8_t ctrl = static_cast<uint8_t>(r.cls);
-        if (seq)
-            ctrl |= kCtrlSeqPc;
-        if (regs)
-            ctrl |= kCtrlRegs;
-        if (r.flags)
-            ctrl |= kCtrlFlags;
-        os.put(static_cast<char>(ctrl));
-
-        if (!seq) {
-            putVarint(os, zigzag(static_cast<int64_t>(r.pc) -
-                                 static_cast<int64_t>(prev_pc)));
-        }
-        prev_pc = r.pc;
-
-        if (isMemClass(r.cls))
-            putVarint(os, r.addr);
-        if (regs) {
-            os.put(static_cast<char>(r.size));
-            os.put(static_cast<char>(r.dst));
-            os.put(static_cast<char>(r.src1));
-            os.put(static_cast<char>(r.src2));
-        }
-        if (r.flags)
-            os.put(static_cast<char>(r.flags));
-    }
-}
-
-/** Shared v3/v4 envelope prefix: magic, body format, fingerprint. */
-void
-writeEnvelopePrefix(std::ostream &os, const char *magic,
-                    uint8_t body_format, const std::string &fingerprint)
-{
-    if (fingerprint.size() > kMaxMetaBytes) {
-        throw TraceFormatError("trace fingerprint length " +
-                               std::to_string(fingerprint.size()) +
-                               " exceeds limit " +
-                               std::to_string(kMaxMetaBytes));
-    }
-    os.write(magic, kMagicBytes);
-    os.put(static_cast<char>(body_format));
-    uint8_t len[4];
-    putU32(len, static_cast<uint32_t>(fingerprint.size()));
-    os.write(reinterpret_cast<const char *>(len), sizeof(len));
-    os.write(fingerprint.data(),
-             static_cast<std::streamsize>(fingerprint.size()));
-}
-
-} // namespace
-
-void
-writeTrace(std::ostream &os, const Trace &trace)
-{
-    os.write(kMagicV1, kMagicBytes);
-    writeCountHeader(os, trace.size());
-    writeV1Body(os, trace);
-}
-
-void
-writeTraceCompressed(std::ostream &os, const Trace &trace)
-{
-    os.write(kMagicV2, kMagicBytes);
-    writeCountHeader(os, trace.size());
-    writeV2Body(os, trace);
-}
-
-void
-writeTraceV3(std::ostream &os, const Trace &trace,
-             const std::string &fingerprint, bool compressed)
-{
-    writeEnvelopePrefix(os, kMagicV3, compressed ? kBodyDelta : kBodyFixed,
-                        fingerprint);
-    writeCountHeader(os, trace.size());
-    if (compressed)
-        writeV2Body(os, trace);
-    else
-        writeV1Body(os, trace);
-}
-
-void
-writeTraceV4(std::ostream &os, const Trace &trace,
-             const std::string &fingerprint, uint64_t chunk_insts)
-{
-    if (chunk_insts == 0 || chunk_insts > kMaxChunkInstsV4) {
-        throw TraceFormatError("v4 chunk size " +
-                               std::to_string(chunk_insts) +
-                               " outside [1, " +
-                               std::to_string(kMaxChunkInstsV4) + "]");
-    }
-    uint64_t count = trace.size();
-    uint64_t chunk_count =
-        count ? (count + chunk_insts - 1) / chunk_insts : 0;
-
-    writeEnvelopePrefix(os, kMagicV4, kBodyChunked, fingerprint);
-    writeCountHeader(os, count);
-    uint8_t geom[16];
-    putU64(geom, chunk_insts);
-    putU64(geom + 8, chunk_count);
-    os.write(reinterpret_cast<const char *>(geom), sizeof(geom));
-
-    // The index precedes the body, so encode all chunks first to
-    // learn their byte extents.
-    std::vector<uint8_t> index(chunk_count * kIndexEntryBytesV4);
-    std::vector<uint8_t> body;
-    trace_codec::CodecSeeds seeds;
-    const TraceRecord *records = trace.records().data();
-    uint64_t off = 0;
-    for (uint64_t c = 0; c < chunk_count; ++c) {
-        uint64_t first = c * chunk_insts;
-        trace_codec::V4IndexEntry e;
-        e.records = std::min(chunk_insts, count - first);
-        e.byteOff = off;
-        e.seeds = seeds;
-        e.byteLen =
-            trace_codec::encodeV4Chunk(body, records + first,
-                                       e.records, seeds);
-        off += e.byteLen;
-        trace_codec::writeV4IndexEntry(
-            index.data() + c * kIndexEntryBytesV4, e);
-    }
-    os.write(reinterpret_cast<const char *>(index.data()),
-             static_cast<std::streamsize>(index.size()));
-    os.write(reinterpret_cast<const char *>(body.data()),
-             static_cast<std::streamsize>(body.size()));
-}
-
-namespace
-{
 
 /**
  * Pre-reserve ceiling when the stream size is unknown (non-seekable
@@ -247,150 +53,50 @@ remainingBytes(std::istream &is)
     return static_cast<uint64_t>(end - cur);
 }
 
-void
-throwCountExceedsCapacity(uint64_t count, uint64_t remaining,
-                          uint64_t min_record_bytes)
-{
-    throw TraceFormatError(
-        "trace header count " + std::to_string(count) +
-        " exceeds stream capacity (" + std::to_string(remaining) +
-        " bytes remain, >= " + std::to_string(min_record_bytes) +
-        " bytes per record)");
-}
-
-/**
- * Validate an untrusted header record count against the bytes that
- * actually remain (each record occupies at least `min_record_bytes`)
- * and return a safe reserve() amount. Throws TraceFormatError on an
- * impossible count instead of letting reserve() OOM the process.
- */
 uint64_t
-checkedReserve(std::istream &is, uint64_t count,
-               uint64_t min_record_bytes)
+readU64(std::istream &is)
 {
-    std::optional<uint64_t> remaining = remainingBytes(is);
-    if (remaining) {
-        if (count > *remaining / min_record_bytes)
-            throwCountExceedsCapacity(count, *remaining,
-                                      min_record_bytes);
-        return count;
-    }
-    return std::min(count, kMaxBlindReserve);
-}
-
-uint64_t
-readCountHeader(std::istream &is)
-{
-    uint8_t hdr[8];
-    is.read(reinterpret_cast<char *>(hdr), sizeof(hdr));
+    uint8_t buf[8];
+    is.read(reinterpret_cast<char *>(buf), sizeof(buf));
     if (!is)
         throw TraceFormatError("truncated trace header");
-    return getU64(hdr);
+    return getU64(buf);
 }
 
-Trace
-readV1Body(std::istream &is, uint64_t count)
+/** Envelope, geometry and validated chunk index of a v4 stream. */
+struct V4Header
 {
-    std::vector<TraceRecord> records;
-    records.reserve(checkedReserve(is, count, kRecordBytesV1));
-    std::array<uint8_t, kRecordBytesV1> buf;
-    for (uint64_t i = 0; i < count; ++i) {
-        is.read(reinterpret_cast<char *>(buf.data()), buf.size());
-        if (!is)
-            throw TraceFormatError("truncated trace body");
-        TraceRecord r;
-        r.pc = getU64(buf.data());
-        r.addr = getU64(buf.data() + 8);
-        if (buf[16] >= static_cast<uint8_t>(InstClass::NumClasses))
-            throw TraceFormatError("invalid instruction class");
-        r.cls = static_cast<InstClass>(buf[16]);
-        r.size = buf[17];
-        r.dst = buf[18];
-        r.src1 = buf[19];
-        r.src2 = buf[20];
-        r.flags = buf[21];
-        records.push_back(r);
-    }
-    return Trace(std::move(records));
-}
-
-Trace
-readV2Body(std::istream &is, uint64_t count)
-{
-    std::vector<TraceRecord> records;
-    // v2 records are at least the control byte.
-    records.reserve(checkedReserve(is, count, 1));
-    uint64_t prev_pc = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-        int ctrl_c = is.get();
-        if (ctrl_c == EOF)
-            throw TraceFormatError("truncated trace body");
-        uint8_t ctrl = static_cast<uint8_t>(ctrl_c);
-        uint8_t cls_bits = ctrl & 0x0f;
-        if (cls_bits >= static_cast<uint8_t>(InstClass::NumClasses))
-            throw TraceFormatError("invalid instruction class");
-
-        TraceRecord r;
-        r.cls = static_cast<InstClass>(cls_bits);
-        if (ctrl & kCtrlSeqPc) {
-            r.pc = prev_pc + 4;
-        } else {
-            int64_t delta = unzigzag(getVarint(is));
-            r.pc = static_cast<uint64_t>(
-                static_cast<int64_t>(prev_pc) + delta);
-        }
-        prev_pc = r.pc;
-
-        if (isMemClass(r.cls))
-            r.addr = getVarint(is);
-        if (ctrl & kCtrlRegs) {
-            int a = is.get(), b = is.get(), c = is.get(), d = is.get();
-            if (d == EOF)
-                throw TraceFormatError("truncated register block");
-            r.size = static_cast<uint8_t>(a);
-            r.dst = static_cast<uint8_t>(b);
-            r.src1 = static_cast<uint8_t>(c);
-            r.src2 = static_cast<uint8_t>(d);
-        }
-        if (ctrl & kCtrlFlags) {
-            int f = is.get();
-            if (f == EOF)
-                throw TraceFormatError("truncated flags byte");
-            r.flags = static_cast<uint8_t>(f);
-        }
-        records.push_back(r);
-    }
-    return Trace(std::move(records));
-}
-
-/** v3/v4 envelope after the magic: body format + fingerprint. */
-struct V3Header
-{
-    uint32_t bodyFormat = 0;
     std::string fingerprint;
+    uint64_t count = 0;
+    uint64_t chunkInsts = 0;
+    std::vector<trace_codec::V4IndexEntry> index;
 };
 
 /**
- * Read the envelope prefix shared by v3 and v4, rejecting body-format
- * bytes the container version does not define (v3: fixed or delta;
- * v4: chunked) with a clear TraceFormatError rather than a misparse.
+ * Read and validate everything before the first chunk body. The
+ * record count and chunk count are checked against the remaining
+ * stream bytes (seekable inputs) and every index entry by the
+ * validator as it is read, so a forged header cannot trigger a large
+ * allocation.
  */
-V3Header
-readEnvelopeHeader(std::istream &is, uint32_t version)
+V4Header
+readV4Header(std::istream &is)
 {
-    V3Header h;
+    char magic[kMagicBytes];
+    is.read(magic, sizeof(magic));
+    if (!is)
+        throw TraceFormatError("bad trace magic");
+    checkMagic(magic);
+
     int fmt = is.get();
     if (fmt == EOF)
         throw TraceFormatError("truncated trace header");
-    bool known = version == 3
-        ? (fmt == kBodyFixed || fmt == kBodyDelta)
-        : (fmt == kBodyChunked);
-    if (!known) {
-        throw TraceFormatError("unknown v" + std::to_string(version) +
-                               " body format " + std::to_string(fmt));
+    if (fmt != kBodyChunked) {
+        throw TraceFormatError("unknown v4 body format " +
+                               std::to_string(fmt));
     }
-    h.bodyFormat = static_cast<uint32_t>(fmt);
 
+    V4Header h;
     uint8_t len_buf[4];
     is.read(reinterpret_cast<char *>(len_buf), sizeof(len_buf));
     if (!is)
@@ -407,79 +113,128 @@ readEnvelopeHeader(std::istream &is, uint32_t version)
         if (!is)
             throw TraceFormatError("truncated trace header");
     }
-    return h;
-}
 
-/** v4 chunk geometry words following the record count. */
-struct V4Geometry
-{
-    uint64_t chunkInsts = 0;
-    uint64_t chunkCount = 0;
-};
+    h.count = readU64(is);
+    h.chunkInsts = readU64(is);
+    uint64_t chunk_count = readU64(is);
 
-V4Geometry
-readV4Geometry(std::istream &is)
-{
-    uint8_t buf[16];
-    is.read(reinterpret_cast<char *>(buf), sizeof(buf));
-    if (!is)
-        throw TraceFormatError("truncated trace header");
-    return {getU64(buf), getU64(buf + 8)};
-}
-
-/**
- * Read and validate the v4 chunk index. Every entry is checked by the
- * validator as it is read, and the index size itself is checked
- * against the remaining stream bytes first, so a forged header cannot
- * trigger a large allocation.
- */
-std::vector<trace_codec::V4IndexEntry>
-readV4Index(std::istream &is, uint64_t count, const V4Geometry &geom)
-{
-    trace_codec::V4IndexValidator val(count, geom.chunkInsts,
-                                      geom.chunkCount);
+    trace_codec::V4IndexValidator val(h.count, h.chunkInsts, chunk_count);
     std::optional<uint64_t> remaining = remainingBytes(is);
     if (remaining) {
         // Each record occupies at least one body byte and each chunk
         // one index entry.
-        if (count > *remaining)
-            throwCountExceedsCapacity(count, *remaining, 1);
-        if (geom.chunkCount > *remaining / kIndexEntryBytesV4) {
+        if (h.count > *remaining) {
             throw TraceFormatError(
-                "v4 chunk count " + std::to_string(geom.chunkCount) +
+                "trace header count " + std::to_string(h.count) +
+                " exceeds stream capacity (" +
+                std::to_string(*remaining) + " bytes remain)");
+        }
+        if (chunk_count > *remaining / kIndexEntryBytesV4) {
+            throw TraceFormatError(
+                "v4 chunk count " + std::to_string(chunk_count) +
                 " exceeds stream capacity (" +
                 std::to_string(*remaining) + " bytes remain)");
         }
     }
-    std::vector<trace_codec::V4IndexEntry> index;
-    index.reserve(std::min(geom.chunkCount, kMaxBlindReserve));
+    h.index.reserve(std::min(chunk_count, kMaxBlindReserve));
     uint8_t buf[kIndexEntryBytesV4];
-    for (uint64_t i = 0; i < geom.chunkCount; ++i) {
+    for (uint64_t i = 0; i < chunk_count; ++i) {
         is.read(reinterpret_cast<char *>(buf), sizeof(buf));
         if (!is)
             throw TraceFormatError("truncated v4 chunk index");
         trace_codec::V4IndexEntry e = trace_codec::readV4IndexEntry(buf);
         val.feed(e, i);
-        index.push_back(e);
+        h.index.push_back(e);
     }
-    if (remaining) {
-        val.finish(*remaining -
-                   geom.chunkCount * kIndexEntryBytesV4);
+    if (remaining)
+        val.finish(*remaining - chunk_count * kIndexEntryBytesV4);
+    return h;
+}
+
+} // namespace
+
+void
+writeTraceV4(std::ostream &os, const Trace &trace,
+             const std::string &fingerprint, uint64_t chunk_insts)
+{
+    if (chunk_insts == 0 || chunk_insts > kMaxChunkInstsV4) {
+        throw TraceFormatError("v4 chunk size " +
+                               std::to_string(chunk_insts) +
+                               " outside [1, " +
+                               std::to_string(kMaxChunkInstsV4) + "]");
     }
-    return index;
+    if (fingerprint.size() > kMaxMetaBytes) {
+        throw TraceFormatError("trace fingerprint length " +
+                               std::to_string(fingerprint.size()) +
+                               " exceeds limit " +
+                               std::to_string(kMaxMetaBytes));
+    }
+    uint64_t count = trace.size();
+    uint64_t chunk_count =
+        count ? (count + chunk_insts - 1) / chunk_insts : 0;
+
+    os.write(kMagicV4, kMagicBytes);
+    os.put(static_cast<char>(kBodyChunked));
+    uint8_t len[4];
+    putU32(len, static_cast<uint32_t>(fingerprint.size()));
+    os.write(reinterpret_cast<const char *>(len), sizeof(len));
+    os.write(fingerprint.data(),
+             static_cast<std::streamsize>(fingerprint.size()));
+    uint8_t words[24];
+    putU64(words, count);
+    putU64(words + 8, chunk_insts);
+    putU64(words + 16, chunk_count);
+    os.write(reinterpret_cast<const char *>(words), sizeof(words));
+
+    // The index precedes the body, so encode all chunks first to
+    // learn their byte extents.
+    std::vector<uint8_t> index(chunk_count * kIndexEntryBytesV4);
+    std::vector<uint8_t> body;
+    trace_codec::CodecSeeds seeds;
+    const TraceRecord *records = trace.records().data();
+    uint64_t off = 0;
+    for (uint64_t c = 0; c < chunk_count; ++c) {
+        uint64_t first = c * chunk_insts;
+        trace_codec::V4IndexEntry e;
+        e.records = std::min(chunk_insts, count - first);
+        e.byteOff = off;
+        e.seeds = seeds;
+        e.byteLen =
+            trace_codec::encodeV4Chunk(body, records + first,
+                                       e.records, seeds);
+        off += e.byteLen;
+        trace_codec::writeV4IndexEntry(
+            index.data() + c * kIndexEntryBytesV4, e);
+    }
+    os.write(reinterpret_cast<const char *>(index.data()),
+             static_cast<std::streamsize>(index.size()));
+    os.write(reinterpret_cast<const char *>(body.data()),
+             static_cast<std::streamsize>(body.size()));
+}
+
+void
+writeTraceFileV4(const std::string &path, const Trace &trace,
+                 const std::string &fingerprint, uint64_t chunk_insts)
+{
+    std::ofstream ofs(path, std::ios::binary);
+    if (!ofs)
+        throw TraceFormatError("cannot open for write: " + path);
+    writeTraceV4(ofs, trace, fingerprint, chunk_insts);
+    if (!ofs)
+        throw TraceFormatError("write failed: " + path);
 }
 
 Trace
-readV4Body(std::istream &is, uint64_t count)
+readTrace(std::istream &is)
 {
-    V4Geometry geom = readV4Geometry(is);
-    std::vector<trace_codec::V4IndexEntry> index =
-        readV4Index(is, count, geom);
-
+    V4Header h = readV4Header(is);
+    // A seekable stream's count was checked against its size; reserve
+    // blindly only up to a cap.
     std::vector<TraceRecord> records;
-    records.reserve(checkedReserve(is, count, 1));
+    records.reserve(remainingBytes(is) ? h.count
+                                       : std::min(h.count, kMaxBlindReserve));
     std::vector<uint8_t> buf;
-    for (const auto &e : index) {
+    for (const auto &e : h.index) {
         // Read incrementally so a forged byteLen on a non-seekable
         // stream hits EOF long before it can force a huge allocation.
         buf.clear();
@@ -502,78 +257,6 @@ readV4Body(std::istream &is, uint64_t count)
     return Trace(std::move(records));
 }
 
-} // namespace
-
-Trace
-readTrace(std::istream &is)
-{
-    char magic[kMagicBytes];
-    is.read(magic, sizeof(magic));
-    if (!is)
-        throw TraceFormatError("bad trace magic");
-    if (std::memcmp(magic, kMagicV1, kMagicBytes) == 0)
-        return readV1Body(is, readCountHeader(is));
-    if (std::memcmp(magic, kMagicV2, kMagicBytes) == 0)
-        return readV2Body(is, readCountHeader(is));
-    if (std::memcmp(magic, kMagicV3, kMagicBytes) == 0) {
-        V3Header h = readEnvelopeHeader(is, 3);
-        uint64_t count = readCountHeader(is);
-        return h.bodyFormat == kBodyDelta ? readV2Body(is, count)
-                                          : readV1Body(is, count);
-    }
-    if (std::memcmp(magic, kMagicV4, kMagicBytes) == 0) {
-        readEnvelopeHeader(is, 4);
-        return readV4Body(is, readCountHeader(is));
-    }
-    throw TraceFormatError("bad trace magic");
-}
-
-void
-writeTraceFile(const std::string &path, const Trace &trace)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        throw TraceFormatError("cannot open for write: " + path);
-    writeTrace(ofs, trace);
-    if (!ofs)
-        throw TraceFormatError("write failed: " + path);
-}
-
-void
-writeTraceCompressedFile(const std::string &path, const Trace &trace)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        throw TraceFormatError("cannot open for write: " + path);
-    writeTraceCompressed(ofs, trace);
-    if (!ofs)
-        throw TraceFormatError("write failed: " + path);
-}
-
-void
-writeTraceFileV3(const std::string &path, const Trace &trace,
-                 const std::string &fingerprint, bool compressed)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        throw TraceFormatError("cannot open for write: " + path);
-    writeTraceV3(ofs, trace, fingerprint, compressed);
-    if (!ofs)
-        throw TraceFormatError("write failed: " + path);
-}
-
-void
-writeTraceFileV4(const std::string &path, const Trace &trace,
-                 const std::string &fingerprint, uint64_t chunk_insts)
-{
-    std::ofstream ofs(path, std::ios::binary);
-    if (!ofs)
-        throw TraceFormatError("cannot open for write: " + path);
-    writeTraceV4(ofs, trace, fingerprint, chunk_insts);
-    if (!ofs)
-        throw TraceFormatError("write failed: " + path);
-}
-
 Trace
 readTraceFile(const std::string &path)
 {
@@ -590,56 +273,19 @@ probeTraceFile(const std::string &path)
     if (!ifs)
         throw TraceFormatError("cannot open for read: " + path);
 
+    // O(index) work: the header reader validates the full chunk index
+    // against the file size without decoding any chunk.
+    V4Header h = readV4Header(ifs);
     TraceFileInfo info;
-    char magic[kMagicBytes];
-    ifs.read(magic, sizeof(magic));
-    if (!ifs)
-        throw TraceFormatError("bad trace magic");
-    if (std::memcmp(magic, kMagicV1, kMagicBytes) == 0) {
-        info.version = 1;
-        info.bodyFormat = 1;
-    } else if (std::memcmp(magic, kMagicV2, kMagicBytes) == 0) {
-        info.version = 2;
-        info.bodyFormat = 2;
-    } else if (std::memcmp(magic, kMagicV3, kMagicBytes) == 0) {
-        info.version = 3;
-        V3Header h = readEnvelopeHeader(ifs, 3);
-        info.bodyFormat = h.bodyFormat;
-        info.fingerprint = std::move(h.fingerprint);
-    } else if (std::memcmp(magic, kMagicV4, kMagicBytes) == 0) {
-        info.version = 4;
-        V3Header h = readEnvelopeHeader(ifs, 4);
-        info.bodyFormat = h.bodyFormat;
-        info.fingerprint = std::move(h.fingerprint);
-    } else {
-        throw TraceFormatError("bad trace magic");
-    }
-    info.records = readCountHeader(ifs);
-
-    if (info.version == 4) {
-        // O(index) work: validate the full chunk index against the
-        // remaining bytes without decoding any chunk.
-        V4Geometry geom = readV4Geometry(ifs);
-        readV4Index(ifs, info.records, geom);
-        info.chunks = geom.chunkCount;
-        info.chunkInsts = geom.chunkInsts;
-    }
-
-    // Validate the untrusted count against the bytes actually present,
-    // exactly like the full reader would before reserving memory.
-    uint64_t min_bytes =
-        info.bodyFormat == kBodyFixed ? kRecordBytesV1 : 1;
-    std::optional<uint64_t> remaining = remainingBytes(ifs);
-    if (remaining && info.records > *remaining / min_bytes)
-        throwCountExceedsCapacity(info.records, *remaining, min_bytes);
-
-    std::istream::pos_type cur = ifs.tellg();
+    info.version = 4;
+    info.records = h.count;
+    info.chunks = h.index.size();
+    info.chunkInsts = h.chunkInsts;
+    info.fingerprint = std::move(h.fingerprint);
     ifs.seekg(0, std::ios::end);
     std::istream::pos_type end = ifs.tellg();
-    if (cur != std::istream::pos_type(-1) &&
-        end != std::istream::pos_type(-1)) {
+    if (end != std::istream::pos_type(-1))
         info.fileBytes = static_cast<uint64_t>(end);
-    }
     return info;
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Binary trace serialization. Four on-disk containers (fixed-width
- * v1, delta-compressed v2, enveloped v3, chunk-indexed compressed v4;
- * specified in docs/TRACE_FORMAT.md) with magic/version headers so
- * generated traces can be cached between runs and shared across tools.
+ * Binary trace serialization in the chunk-indexed compressed v4
+ * container (specified in docs/TRACE_FORMAT.md), so generated traces
+ * can be cached between runs and shared across tools. Files in the
+ * retired v1-v3 containers are rejected with a TraceFormatError that
+ * names the version; regenerate them with storemlp_tracegen.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_IO_HH
@@ -27,39 +28,13 @@ class TraceFormatError : public SimError
     }
 };
 
-/** Serialize a trace to a stream (fixed-width v1 format). */
-void writeTrace(std::ostream &os, const Trace &trace);
-/** Serialize a trace to a file. Throws on I/O failure. */
-void writeTraceFile(const std::string &path, const Trace &trace);
-
 /**
- * Serialize in the delta-compressed v2 format: sequential pcs cost a
- * single control byte, other fields use zigzag/LEB128 varints.
- * Typically 3-4x smaller than v1 on generated traces.
- */
-void writeTraceCompressed(std::ostream &os, const Trace &trace);
-void writeTraceCompressedFile(const std::string &path,
-                              const Trace &trace);
-
-/**
- * Serialize in the v3 container: a metadata envelope (body format +
- * provenance fingerprint) followed by a v1 or v2 record body. Tools
- * read the count and fingerprint from the header without decoding a
- * single record.
- */
-void writeTraceV3(std::ostream &os, const Trace &trace,
-                  const std::string &fingerprint, bool compressed);
-void writeTraceFileV3(const std::string &path, const Trace &trace,
-                      const std::string &fingerprint, bool compressed);
-
-/**
- * Serialize in the chunk-indexed compressed v4 container: the v3
- * envelope plus chunk geometry, a per-chunk index (record count, byte
- * extent, pc/address seeds) and independently decodable compressed
- * chunks of `chunk_insts` records each. Smaller than v2 (packed
- * register blocks, XOR-delta addresses) and randomly accessible; see
- * docs/TRACE_FORMAT.md. Throws TraceFormatError if `chunk_insts` is 0
- * or exceeds trace_format::kMaxChunkInstsV4.
+ * Serialize in the chunk-indexed compressed v4 container: an envelope
+ * (provenance fingerprint, record count, chunk geometry), a per-chunk
+ * index (record count, byte extent, pc/address seeds) and
+ * independently decodable compressed chunks of `chunk_insts` records
+ * each; see docs/TRACE_FORMAT.md. Throws TraceFormatError if
+ * `chunk_insts` is 0 or exceeds trace_format::kMaxChunkInstsV4.
  */
 void writeTraceV4(std::ostream &os, const Trace &trace,
                   const std::string &fingerprint,
@@ -68,28 +43,27 @@ void writeTraceFileV4(const std::string &path, const Trace &trace,
                       const std::string &fingerprint,
                       uint64_t chunk_insts = uint64_t{1} << 16);
 
-/** Deserialize a trace (auto-detects v1/v2/v3/v4 by magic).
- *  Throws TraceFormatError. */
+/** Deserialize a v4 trace. Throws TraceFormatError on anything else. */
 Trace readTrace(std::istream &is);
-/** Deserialize a trace from a file (auto-detects format). */
+/** Deserialize a v4 trace from a file. */
 Trace readTraceFile(const std::string &path);
 
 /** Header-level description of an on-disk trace (no record decode). */
 struct TraceFileInfo
 {
-    uint32_t version = 0;    ///< container: 1, 2, 3, or 4
-    uint32_t bodyFormat = 0; ///< 1 fixed, 2 delta, 3 chunked
+    uint32_t version = 0;    ///< container version (always 4)
     uint64_t records = 0;
     uint64_t fileBytes = 0;
-    uint64_t chunks = 0;     ///< v4 only: chunk count from the index
-    uint64_t chunkInsts = 0; ///< v4 only: records per chunk
-    std::string fingerprint; ///< provenance (v3/v4 only; else empty)
+    uint64_t chunks = 0;     ///< chunk count from the index
+    uint64_t chunkInsts = 0; ///< records per chunk
+    std::string fingerprint; ///< provenance string from the envelope
 };
 
 /**
- * Read a trace file's header only: O(header) work regardless of trace
- * length. Validates the record count against the file size. Throws
- * TraceFormatError on malformed headers.
+ * Read a trace file's envelope and chunk index only: O(header +
+ * index) work, no record decode. Validates the record count and the
+ * whole index against the file size. Throws TraceFormatError on
+ * malformed headers.
  */
 TraceFileInfo probeTraceFile(const std::string &path);
 

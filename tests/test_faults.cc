@@ -188,17 +188,6 @@ TEST(SweepFaults, RetryBudgetExhaustedReportsFailure)
     EXPECT_EQ(engine.runRetries(), 1u);
 }
 
-// Pins the deprecated runOutputs -> run -> execute shim chain
-// (removal next PR): throwing on the first failed run is the old
-// contract callers may still lean on.
-TEST(SweepFaults, RunOutputsThrowsRatherThanReturningPartialSilently)
-{
-    std::vector<RunSpec> specs = markedSpecs(3);
-    SweepEngine engine(faultingOptions(1, specs[1].measureInsts),
-                       nullptr);
-    EXPECT_THROW(engine.runOutputs(specs), SimError);
-}
-
 TEST(SweepFaults, RunTasksCapturesPerTaskErrorsAndRunsEveryTask)
 {
     std::vector<int> done(8, 0);
@@ -293,24 +282,6 @@ TEST(TraceCacheFaults, InFlightBuildDoesNotPinCacheAboveBudget)
 
 // ---- trace format validation -----------------------------------------
 
-std::string
-v1Header(uint64_t count)
-{
-    std::string s = "SMLPTRC1";
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((count >> (8 * i)) & 0xff));
-    return s;
-}
-
-std::string
-v2Header(uint64_t count)
-{
-    std::string s = "SMLPTRC2";
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((count >> (8 * i)) & 0xff));
-    return s;
-}
-
 void
 expectTraceError(const std::string &bytes, const std::string &needle)
 {
@@ -325,26 +296,6 @@ expectTraceError(const std::string &bytes, const std::string &needle)
     }
 }
 
-TEST(TraceFormat, CorruptV1CountRejectedWithoutAllocation)
-{
-    // A corrupt 8-byte count (2^60 records) must be rejected against
-    // the actual stream size before reserve(), not OOM the process.
-    expectTraceError(v1Header(uint64_t{1} << 60),
-                     "exceeds stream capacity");
-}
-
-TEST(TraceFormat, V1CountLargerThanBodyRejected)
-{
-    std::string bytes = v1Header(3);
-    bytes.append(2 * 22, '\0'); // only two records present
-    expectTraceError(bytes, "exceeds stream capacity");
-}
-
-TEST(TraceFormat, CorruptV2CountRejectedWithoutAllocation)
-{
-    expectTraceError(v2Header(UINT64_MAX), "exceeds stream capacity");
-}
-
 TEST(TraceFormat, BadMagicRejected)
 {
     expectTraceError("NOTATRACE_______", "bad trace magic");
@@ -353,71 +304,21 @@ TEST(TraceFormat, BadMagicRejected)
 
 TEST(TraceFormat, TruncatedHeaderRejected)
 {
-    expectTraceError(std::string("SMLPTRC1") + "\x01\x02",
+    // Magic, body format and a fingerprint length promising 4 bytes,
+    // then only two of them.
+    expectTraceError(std::string("SMLPTRC4\x03\x04\x00\x00\x00", 13) +
+                         "fp",
                      "truncated trace header");
-}
-
-TEST(TraceFormat, V1InvalidInstructionClassRejected)
-{
-    std::string bytes = v1Header(1);
-    std::string record(22, '\0');
-    record[16] = static_cast<char>(0xff); // cls out of range
-    bytes += record;
-    expectTraceError(bytes, "invalid instruction class");
-}
-
-TEST(TraceFormat, V2TruncatedVarintRejected)
-{
-    // One record, control byte expects a pc delta varint that never
-    // arrives (class Alu, no seq-pc bit).
-    std::string bytes = v2Header(1);
-    bytes.push_back(0x00);
-    expectTraceError(bytes, "truncated varint");
-}
-
-TEST(TraceFormat, V2OverlongVarintRejected)
-{
-    std::string bytes = v2Header(1);
-    bytes.push_back(0x00);
-    bytes.append(11, static_cast<char>(0x80)); // never terminates
-    expectTraceError(bytes, "overlong varint");
-}
-
-TEST(TraceFormat, V2InvalidInstructionClassRejected)
-{
-    std::string bytes = v2Header(1);
-    bytes.push_back(0x0f); // cls bits 15 >= NumClasses
-    expectTraceError(bytes, "invalid instruction class");
-}
-
-TEST(TraceFormat, V2TruncatedRegisterBlockRejected)
-{
-    std::string bytes = v2Header(1);
-    // Alu, sequential pc, register block present — but only two of
-    // the four register bytes follow.
-    bytes.push_back(0x30);
-    bytes.push_back(0x01);
-    bytes.push_back(0x02);
-    expectTraceError(bytes, "truncated register block");
-}
-
-TEST(TraceFormat, V2TruncatedFlagsByteRejected)
-{
-    std::string bytes = v2Header(1);
-    bytes.push_back(0x50); // Alu, sequential pc, flags byte present
-    expectTraceError(bytes, "truncated flags byte");
 }
 
 TEST(TraceFormat, RoundTripStillWorksAfterValidation)
 {
     Trace trace = tinyTrace(7, 2000);
-    std::ostringstream os1, os2;
-    writeTrace(os1, trace);
-    writeTraceCompressed(os2, trace);
+    std::ostringstream os;
+    writeTraceV4(os, trace, "validated", 251);
 
-    std::istringstream is1(os1.str()), is2(os2.str());
-    EXPECT_EQ(readTrace(is1).size(), trace.size());
-    EXPECT_EQ(readTrace(is2).size(), trace.size());
+    std::istringstream is(os.str());
+    EXPECT_EQ(readTrace(is).size(), trace.size());
 }
 
 // ---- strict numeric parsing ------------------------------------------

@@ -16,7 +16,7 @@
  * ONLY when a semantic change is intended and reviewed. The matrix
  * covers all shipped configs (PC1-PC3, WC1-WC3, scout, TM, SMAC,
  * multi-chip peer traffic, sibling core), materialized vs generator vs
- * on-disk v1/v3/v4 sources, chunk sizes 1 / non-divisor / default, and
+ * on-disk v4 files, chunk sizes 1 / non-divisor / default, and
  * jobs=1 vs jobs=4 sweeps.
  */
 
@@ -37,6 +37,7 @@
 #include "stats/stats_json.hh"
 #include "trace/generator.hh"
 #include "trace/lock_detector.hh"
+#include "trace/trace_cache.hh"
 #include "trace/trace_file_source.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
@@ -183,7 +184,8 @@ buildCases()
         }
     }
 
-    // ---- on-disk containers v1 / v3 / v4, direct simulator runs ----
+    // ---- on-disk v4 files (three chunk sizes, whole-trace reader,
+    // chunk cache), direct simulator runs ----
     {
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 7);
         Trace trace = gen.generate(kWarmup + kMeasure);
@@ -191,12 +193,22 @@ buildCases()
         std::string base =
             ::testing::TempDir() + "hotloop_equiv_" +
             std::to_string(static_cast<unsigned>(::getpid()));
-        std::string v1 = base + "_v1.trc";
-        std::string v3 = base + "_v3.trc";
-        std::string v4 = base + "_v4.trc";
-        writeTraceFile(v1, trace);
-        writeTraceFileV3(v3, trace, "hotloop", /*compressed=*/true);
-        writeTraceFileV4(v4, trace, "hotloop");
+        struct FileCase
+        {
+            const char *tag;
+            uint64_t chunk;
+            std::string path;
+        };
+        FileCase fcs[] = {
+            {"v4_file", kDefaultChunkInsts, base + "_v4.trc"},
+            {"v4_chunk1", 1, base + "_v4_chunk1.trc"},
+            {"v4_chunk7777", 7777, base + "_v4_chunk7777.trc"},
+        };
+        for (const FileCase &fc : fcs)
+            writeTraceFileV4(fc.path, trace, "hotloop", fc.chunk);
+        // Shared across configs: the second config replays the
+        // default-chunk file from cached decoded chunks.
+        TraceCache cache;
 
         const SimConfig cfgs[] = {SimConfig::defaults(), SimConfig::pc3()};
         for (const SimConfig &cfg : cfgs) {
@@ -207,29 +219,33 @@ buildCases()
                 out[std::string("file/") + cfg.name + "_mat"] =
                     hashSimResult(sim.run(trace, kWarmup));
             }
-            struct FileCase
-            {
-                const char *tag;
-                const std::string *path;
-                uint64_t chunk;
-            };
-            const FileCase fcs[] = {
-                {"v1_default", &v1, 0},  {"v1_chunk7777", &v1, 7777},
-                {"v1_chunk1", &v1, 1},   {"v3_default", &v3, 0},
-                {"v3_chunk7777", &v3, 7777}, {"v4_file", &v4, 0},
-            };
             for (const FileCase &fc : fcs) {
-                StreamingFileSource src(
-                    *fc.path, fc.chunk ? fc.chunk : kDefaultChunkInsts);
+                StreamingFileSource src(fc.path);
                 ChipNode chip(HierarchyConfig{}, 0);
                 MlpSimulator sim(cfg, chip, &locks);
                 out[std::string("file/") + cfg.name + "_" + fc.tag] =
                     hashSimResult(sim.run(src, kWarmup));
             }
+            // The whole-trace reader and the chunk-cache path.
+            {
+                Trace loaded = readTraceFile(fcs[0].path);
+                ChipNode chip(HierarchyConfig{}, 0);
+                MlpSimulator sim(cfg, chip, &locks);
+                out[std::string("file/") + cfg.name + "_v4_read"] =
+                    hashSimResult(sim.run(loaded, kWarmup));
+            }
+            {
+                CachedSource src(
+                    std::make_unique<StreamingFileSource>(fcs[0].path),
+                    cache);
+                ChipNode chip(HierarchyConfig{}, 0);
+                MlpSimulator sim(cfg, chip, &locks);
+                out[std::string("file/") + cfg.name + "_v4_cached"] =
+                    hashSimResult(sim.run(src, kWarmup));
+            }
         }
-        std::remove(v1.c_str());
-        std::remove(v3.c_str());
-        std::remove(v4.c_str());
+        for (const FileCase &fc : fcs)
+            std::remove(fc.path.c_str());
     }
 
     return out;
@@ -306,7 +322,12 @@ TEST(HotloopEquivalence, SweepJobsAndStreamingAgree)
         opts.progress = false;
         opts.streaming = streaming;
         SweepEngine engine(opts, &cache);
-        return engine.run(specs);
+        std::vector<PlannedRun> runs(specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            runs[i].name = "spec" + std::to_string(i);
+            runs[i].spec = specs[i];
+        }
+        return engine.execute(runs);
     };
 
     auto ref = runWith(1, false);

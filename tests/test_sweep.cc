@@ -269,20 +269,6 @@ TEST(SweepEngine, ResultsComeBackInSubmissionOrder)
     }
 }
 
-// Pins the deprecated runTasks shim (removal next PR): it must keep
-// forwarding to parallelForEach until the last caller is gone.
-TEST(SweepEngine, RunTasksExecutesEveryTask)
-{
-    std::vector<int> done(17, 0);
-    std::vector<std::function<void()>> tasks;
-    for (size_t i = 0; i < done.size(); ++i)
-        tasks.push_back([&done, i] { done[i] = 1; });
-    TraceCache cache;
-    makeEngine(cache, 4).runTasks(tasks);
-    for (size_t i = 0; i < done.size(); ++i)
-        EXPECT_EQ(done[i], 1) << "task " << i;
-}
-
 TEST(SweepEngine, PerRunTimingIsPopulated)
 {
     std::vector<RunSpec> specs = mixedSpecs();

@@ -135,7 +135,7 @@ TEST(TraceIo, RoundTrip)
         .build();
 
     std::stringstream ss;
-    writeTrace(ss, t);
+    writeTraceV4(ss, t, "");
     Trace u = readTrace(ss);
 
     ASSERT_EQ(u.size(), t.size());
@@ -154,7 +154,7 @@ TEST(TraceIo, RoundTrip)
 TEST(TraceIo, EmptyTraceRoundTrip)
 {
     std::stringstream ss;
-    writeTrace(ss, Trace());
+    writeTraceV4(ss, Trace(), "");
     Trace u = readTrace(ss);
     EXPECT_TRUE(u.empty());
 }
@@ -170,7 +170,7 @@ TEST(TraceIo, RejectsTruncatedBody)
 {
     Trace t = TraceBuilder().alu().alu().build();
     std::stringstream ss;
-    writeTrace(ss, t);
+    writeTraceV4(ss, t, "");
     std::string full = ss.str();
     std::stringstream cut(full.substr(0, full.size() - 5));
     EXPECT_THROW(readTrace(cut), TraceFormatError);
@@ -180,9 +180,13 @@ TEST(TraceIo, RejectsInvalidClass)
 {
     Trace t = TraceBuilder().alu().build();
     std::stringstream ss;
-    writeTrace(ss, t);
+    writeTraceV4(ss, t, "");
     std::string s = ss.str();
-    s[16 + 16] = 0x7f; // class byte of record 0 (after 16-byte header)
+    // Control byte of record 0: after the 37-byte envelope, one 40-byte
+    // index entry and the 20-byte chunk section header. Class bits ->
+    // 15, presence bits kept.
+    const size_t ctrl0 = 37 + 40 + 20;
+    s[ctrl0] = static_cast<char>((s[ctrl0] & 0xf0) | 0x0f);
     std::stringstream bad(s);
     EXPECT_THROW(readTrace(bad), TraceFormatError);
 }
@@ -191,7 +195,7 @@ TEST(TraceIo, FileRoundTrip)
 {
     Trace t = TraceBuilder().load(0x10, 1).store(0x20, 2).build();
     std::string path = testing::TempDir() + "/storemlp_trace_test.bin";
-    writeTraceFile(path, t);
+    writeTraceFileV4(path, t, "file-round-trip");
     Trace u = readTraceFile(path);
     ASSERT_EQ(u.size(), 2u);
     EXPECT_EQ(u[1].addr, 0x20u);

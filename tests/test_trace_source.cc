@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -165,14 +164,12 @@ class FileSourceTest : public ::testing::Test
 {
   protected:
     std::string
-    writeTemp(const std::string &name,
-              const std::function<void(std::ostream &)> &writer)
+    writeTemp(const std::string &name, const Trace &trace,
+              uint64_t chunk_insts, const std::string &fingerprint = "")
     {
         std::string path =
             ::testing::TempDir() + "trace_source_" + name + ".trc";
-        std::ofstream os(path, std::ios::binary);
-        writer(os);
-        os.close();
+        writeTraceFileV4(path, trace, fingerprint, chunk_insts);
         _paths.push_back(path);
         return path;
     }
@@ -186,39 +183,13 @@ class FileSourceTest : public ::testing::Test
     std::vector<std::string> _paths;
 };
 
-TEST_F(FileSourceTest, StreamsV1V2V3Identically)
-{
-    Trace ref = makeTrace(6000, 17);
-    std::string v1 = writeTemp(
-        "v1", [&](std::ostream &os) { writeTrace(os, ref); });
-    std::string v2 = writeTemp("v2", [&](std::ostream &os) {
-        writeTraceCompressed(os, ref);
-    });
-    std::string v3 = writeTemp("v3", [&](std::ostream &os) {
-        writeTraceV3(os, ref, "fp-test", /*compressed=*/true);
-    });
-
-    for (const std::string &path : {v1, v2, v3}) {
-        for (uint64_t chunk : {uint64_t{1}, uint64_t{251},
-                               uint64_t{1} << 16}) {
-            StreamingFileSource src(path, chunk);
-            ASSERT_TRUE(src.knownSize().has_value());
-            EXPECT_EQ(*src.knownSize(), ref.size());
-            expectStreamEquals(src, ref);
-        }
-    }
-}
-
 TEST_F(FileSourceTest, RandomAccessAcrossChunks)
 {
-    // The v2 body is a stateful delta encoding; random chunk access
-    // goes through memoized boundaries and must still decode exact
-    // records in any visit order.
+    // Every chunk decodes from its own index entry: random access in
+    // any visit order, backward included, must yield exact records.
     Trace ref = makeTrace(4000, 19);
-    std::string path = writeTemp("rand", [&](std::ostream &os) {
-        writeTraceCompressed(os, ref);
-    });
-    StreamingFileSource src(path, 256);
+    std::string path = writeTemp("rand", ref, 256);
+    StreamingFileSource src(path);
     TraceCursor cur(src);
     for (uint64_t idx : {uint64_t{3900}, uint64_t{0}, uint64_t{2048},
                          uint64_t{255}, uint64_t{256}, uint64_t{3900}}) {
@@ -231,13 +202,12 @@ TEST_F(FileSourceTest, RandomAccessAcrossChunks)
 TEST_F(FileSourceTest, ProbeReadsHeaderOnly)
 {
     Trace ref = makeTrace(1234, 23);
-    std::string path = writeTemp("probe", [&](std::ostream &os) {
-        writeTraceV3(os, ref, "probe-fingerprint", /*compressed=*/false);
-    });
+    std::string path = writeTemp("probe", ref, 100, "probe-fingerprint");
     TraceFileInfo info = probeTraceFile(path);
-    EXPECT_EQ(info.version, 3u);
-    EXPECT_EQ(info.bodyFormat, 1u);
+    EXPECT_EQ(info.version, 4u);
     EXPECT_EQ(info.records, ref.size());
+    EXPECT_EQ(info.chunks, 13u);
+    EXPECT_EQ(info.chunkInsts, 100u);
     EXPECT_EQ(info.fingerprint, "probe-fingerprint");
     EXPECT_GT(info.fileBytes, 0u);
 
@@ -324,9 +294,9 @@ TEST(RunnerStreaming, FileSourceMatchesInMemoryRun)
     RunOutput mem = test::runMaterialized(spec, trace);
 
     std::string path = ::testing::TempDir() + "runner_file_src.trc";
-    writeTraceFileV3(path, trace, "runner-file", /*compressed=*/true);
+    writeTraceFileV4(path, trace, "runner-file", 777);
     {
-        StreamingFileSource src(path, 777);
+        StreamingFileSource src(path);
         RunOutput filed = Runner::run(spec, src);
         EXPECT_EQ(filed.sim, mem.sim);
     }

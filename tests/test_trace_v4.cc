@@ -4,12 +4,14 @@
  * trips across chunk geometries, corruption rejection for every new
  * TraceFormatError branch (index and chunk level), a whole-file
  * byte-flip fuzz pass, streaming/random access through
- * StreamingFileSource, chunk caching, and bit-identical SimResults
- * against raw v1/v3 traces on every shipped config.
+ * StreamingFileSource, chunk caching, bit-identical SimResults
+ * against the in-memory trace on every shipped config, and the reader
+ * policy that rejects the retired v1-v3 containers.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,15 +145,14 @@ TEST(TraceV4, SingleRecordTraceSingleRecordChunks)
 
 TEST(TraceV4, SmallerThanV2AndQuarterOfV1)
 {
+    // The v1/v2 writers are gone; the size bar is kept against the
+    // 22-byte raw record width (u64 pc + u64 addr + six one-byte
+    // fields), the body width of the retired fixed-width v1 container.
     Trace t = makeTrace(50000);
-    std::ostringstream v1, v2;
-    writeTrace(v1, t);
-    writeTraceCompressed(v2, t);
     std::string v4 = encodeV4(t, 1 << 16);
-    EXPECT_LT(v4.size(), v2.str().size())
-        << "v4 should beat the v2 delta encoding";
-    EXPECT_LE(v4.size() * 4, v1.str().size())
-        << "v4 must be <= 0.25x of v1 on the database profile";
+    EXPECT_LE(v4.size() * 4, 22 * t.size())
+        << "v4 must be <= 0.25x of the 22-byte raw record width on the "
+           "database profile";
 }
 
 TEST(TraceV4, FileRoundTripAutoDetected)
@@ -230,16 +231,6 @@ TEST(TraceV4Corrupt, UnknownBodyFormat)
     std::string s = V4Layout::bytes();
     s[V4Layout::kFormat] = 9;
     expectV4Error(s, "unknown v4 body format 9");
-}
-
-TEST(TraceV4Corrupt, UnknownBodyFormatInV3Container)
-{
-    Trace t = TraceBuilder().alu().build();
-    std::ostringstream os;
-    writeTraceV3(os, t, "", /*compressed=*/false);
-    std::string s = os.str();
-    s[V4Layout::kFormat] = 3; // v4's chunked format inside a v3 magic
-    expectV4Error(s, "unknown v3 body format 3");
 }
 
 TEST(TraceV4Corrupt, TruncatedHeaderAndIndex)
@@ -480,7 +471,6 @@ TEST(TraceV4Streaming, StreamsIdenticallyAcrossFileChunkSizes)
         std::string path = ::testing::TempDir() + "v4_stream.trc";
         writeTraceFileV4(path, ref, "v4-stream", ci);
         StreamingFileSource src(path);
-        EXPECT_EQ(src.bodyFormat(), 3u);
         uint64_t i = 0;
         uint64_t visited = forEachRecord(
             src, 0, ~uint64_t{0}, [&](const TraceRecord &r) {
@@ -500,7 +490,7 @@ TEST(TraceV4Streaming, AdoptsFileChunkGeometry)
     Trace ref = makeTrace(10000, 5);
     std::string path = ::testing::TempDir() + "v4_geom.trc";
     writeTraceFileV4(path, ref, "v4-geom", 1024);
-    StreamingFileSource src(path, 777); // requested size is ignored
+    StreamingFileSource src(path);
     EXPECT_EQ(src.chunkInsts(), 1024u);
     EXPECT_EQ(src.knownSize(), std::optional<uint64_t>(10000));
     std::remove(path.c_str());
@@ -554,8 +544,8 @@ TEST(TraceV4Streaming, CachedSourceSharesDecodedChunks)
 TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
 {
     // The acceptance bar: for every shipped config, SimResult must be
-    // bit-identical between the in-memory trace, a raw v1 file, a v3
-    // delta file, and a v4 compressed file — both streamed through
+    // bit-identical between the in-memory trace and v4 files at a
+    // divisor and a non-divisor chunk size — both streamed through
     // StreamingFileSource and fully materialized via readTraceFile.
     const char *files[] = {"pc1.cfg", "pc2.cfg", "pc3.cfg",
                            "wc1.cfg", "wc2.cfg", "wc3.cfg",
@@ -584,32 +574,70 @@ TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
         Trace trace = Runner::buildTrace(spec);
         RunOutput mat = test::runMaterialized(spec, trace);
 
-        std::string base = ::testing::TempDir() + "v4_equiv_";
-        std::string v1_path = base + "v1.trc";
-        std::string v3_path = base + "v3.trc";
-        std::string v4_path = base + "v4.trc";
-        writeTraceFile(v1_path, trace);
-        writeTraceFileV3(v3_path, trace, "equiv", /*compressed=*/true);
-        writeTraceFileV4(v4_path, trace, "equiv", 4096);
-
-        for (const std::string &p : {v1_path, v3_path, v4_path}) {
-            StreamingFileSource src(p);
-            RunOutput streamed = Runner::run(spec, src);
-            EXPECT_EQ(streamed.sim, mat.sim) << f << " " << p;
-            EXPECT_EQ(streamed.storesPer100, mat.storesPer100) << f;
-            EXPECT_EQ(streamed.l2Accesses, mat.l2Accesses) << f;
-
+        for (uint64_t chunk : {uint64_t{4096}, uint64_t{1009}}) {
+            std::string p = ::testing::TempDir() + "v4_equiv_" +
+                std::to_string(chunk) + ".trc";
+            writeTraceFileV4(p, trace, "equiv", chunk);
+            {
+                StreamingFileSource src(p);
+                RunOutput streamed = Runner::run(spec, src);
+                EXPECT_EQ(streamed.sim, mat.sim) << f << " " << chunk;
+                EXPECT_EQ(streamed.storesPer100, mat.storesPer100) << f;
+                EXPECT_EQ(streamed.l2Accesses, mat.l2Accesses) << f;
+            }
             Trace loaded = readTraceFile(p);
             RunOutput materialized = test::runMaterialized(spec, loaded);
-            EXPECT_EQ(materialized.sim, mat.sim) << f << " " << p;
+            EXPECT_EQ(materialized.sim, mat.sim) << f << " " << chunk;
+            std::remove(p.c_str());
         }
-        std::remove(v1_path.c_str());
-        std::remove(v3_path.c_str());
-        std::remove(v4_path.c_str());
         ++compared;
     }
     if (compared == 0)
         GTEST_SKIP() << "configs/ not reachable from test cwd";
+}
+
+// ---- reader policy ----------------------------------------------------
+
+TEST(TraceReaderPolicy, RejectsRetiredV1V2V3Containers)
+{
+    // Plausible headers of each retired container: every reader must
+    // refuse the magic itself with a typed error naming the version
+    // and the way out, never attempt to parse the body.
+    std::string count1("\x01\0\0\0\0\0\0\0", 8);
+    const std::pair<char, std::string> legacy[] = {
+        {'1', "SMLPTRC1" + count1 + std::string(22, '\0')},
+        {'2', "SMLPTRC2" + count1 + std::string("\x10", 1)},
+        {'3', "SMLPTRC3" + std::string("\x02\0\0\0\0", 5) + count1 +
+                  std::string("\x10", 1)},
+    };
+    for (const auto &[v, bytes] : legacy) {
+        SCOPED_TRACE(std::string("SMLPTRC") + v);
+        std::string path = ::testing::TempDir() + "legacy_v" + v + ".trc";
+        {
+            std::ofstream os(path, std::ios::binary);
+            os << bytes;
+        }
+        auto expectRejected = [&](const std::function<void()> &read) {
+            try {
+                read();
+                FAIL() << "retired container was accepted";
+            } catch (const TraceFormatError &e) {
+                std::string msg = e.what();
+                EXPECT_NE(msg.find(std::string("v") + v), std::string::npos)
+                    << msg;
+                EXPECT_NE(msg.find("regenerate"), std::string::npos) << msg;
+                EXPECT_NE(msg.find("storemlp_tracegen"), std::string::npos)
+                    << msg;
+            }
+        };
+        expectRejected([&] {
+            std::istringstream is(bytes);
+            readTrace(is);
+        });
+        expectRejected([&] { probeTraceFile(path); });
+        expectRejected([&] { StreamingFileSource src(path); });
+        std::remove(path.c_str());
+    }
 }
 
 } // namespace

@@ -294,7 +294,7 @@ toolMain(int argc, char **argv)
     if (cli.has("trace")) {
         // On-disk input: mmap-backed, decoded chunk by chunk — a
         // 50M-instruction trace runs in O(chunk) resident memory.
-        StreamingFileSource src(cli.str("trace", ""), chunk);
+        StreamingFileSource src(cli.str("trace", ""));
         out = Runner::run(spec, src);
     } else if (cli.flag("stream") || chunk) {
         std::unique_ptr<TraceSource> src =

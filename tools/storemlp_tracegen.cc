@@ -1,11 +1,11 @@
 /**
  * @file
  * storemlp_tracegen: generate a synthetic workload trace and write it
- * in the storemlp binary trace format. The generation report goes to
- * stdout (text, JSON document, or CSV).
+ * in the chunk-indexed v4 trace container (docs/TRACE_FORMAT.md). The
+ * generation report goes to stdout (text, JSON document, or CSV).
  *
  *   storemlp_tracegen --workload tpcw --count 5000000 \
- *                     --seed 7 --out tpcw.trc [--wc]
+ *                     --seed 7 --out tpcw.trc [--wc] [--chunk-insts N]
  */
 
 #include <iostream>
@@ -32,29 +32,12 @@ toolMain(int argc, char **argv)
         kSeedFlag,
         {"chip", "N", "chip id for region placement (default 0)"},
         {"wc", "", "emit the weak-consistency rendition"},
-        {"v2", "", "delta-compressed record encoding"},
-        {"compress", "[=v4]",
-         "chunk-indexed compressed v4 container (smallest,\n"
-         "random access); --chunk-insts sets its chunk size"},
         kChunkInstsFlag,
-        {"legacy", "",
-         "bare v1/v2 container (no fingerprint header);\n"
-         "default is the self-describing v3 container"},
         {"out", "PATH", "output trace file (required)"},
         kFormatFlag,
     });
     if (!cli.has("out"))
         cli.fail("--out is required");
-    if (cli.has("compress")) {
-        std::string v = cli.str("compress", "");
-        if (!v.empty() && v != "v4")
-            cli.fail("bad --compress value '" + v + "' (only v4)");
-        if (cli.flag("legacy"))
-            cli.fail("--compress requires the self-describing "
-                     "container (drop --legacy)");
-        if (cli.flag("v2"))
-            cli.fail("--compress and --v2 are mutually exclusive");
-    }
 
     WorkloadProfile profile =
         workloadByName(cli, cli.str("workload", "database"));
@@ -68,31 +51,17 @@ toolMain(int argc, char **argv)
     if (cli.flag("wc"))
         trace = TraceRewriter().toWeakConsistency(trace);
 
+    // Same provenance string GeneratorSource streams under, so a file
+    // round-trip is cache-compatible with the equivalent synthesized
+    // source.
+    std::string fp = profile.cacheKey() +
+        "|seed=" + std::to_string(seed) +
+        "|n=" + std::to_string(count) +
+        "|wc=" + (cli.flag("wc") ? "1" : "0") +
+        "|chip=" + std::to_string(chip);
     try {
-        if (cli.flag("legacy")) {
-            // Bare v1/v2 stream, for consumers predating the v3
-            // container.
-            if (cli.flag("v2"))
-                writeTraceCompressedFile(cli.str("out", ""), trace);
-            else
-                writeTraceFile(cli.str("out", ""), trace);
-        } else {
-            // Same provenance string GeneratorSource streams under,
-            // so a file round-trip is cache-compatible with the
-            // equivalent synthesized source.
-            std::string fp = profile.cacheKey() +
-                "|seed=" + std::to_string(seed) +
-                "|n=" + std::to_string(count) +
-                "|wc=" + (cli.flag("wc") ? "1" : "0") +
-                "|chip=" + std::to_string(chip);
-            if (cli.has("compress")) {
-                writeTraceFileV4(cli.str("out", ""), trace, fp,
-                                 cli.num("chunk-insts", 65536));
-            } else {
-                writeTraceFileV3(cli.str("out", ""), trace, fp,
-                                 cli.flag("v2"));
-            }
-        }
+        writeTraceFileV4(cli.str("out", ""), trace, fp,
+                         cli.num("chunk-insts", 65536));
     } catch (const TraceFormatError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -1,9 +1,10 @@
 /**
  * @file
- * storemlp_traceinfo: inspect a binary trace file. The default report
- * comes from the container header alone — record count, file bytes,
- * format version, profile fingerprint — without decoding a single
- * record, so it is O(1) for a multi-gigabyte trace. `--full` streams
+ * storemlp_traceinfo: inspect a v4 trace file. The default report
+ * comes from the container header and chunk index alone — record
+ * count, file bytes, chunk geometry, profile fingerprint — without
+ * decoding a single record, so it stays cheap for a multi-gigabyte
+ * trace. `--full` streams
  * the records (O(chunk) resident) to add the instruction mix and the
  * detected critical sections; `--dump N` prints the first N records.
  *
@@ -25,26 +26,11 @@ using namespace storemlp::tools;
 namespace
 {
 
-const char *
-bodyFormatName(uint32_t fmt)
-{
-    switch (fmt) {
-      case 1:
-        return "fixed";
-      case 2:
-        return "delta";
-      case 3:
-        return "chunked";
-      default:
-        return "unknown";
-    }
-}
-
-/** Bytes the same records would occupy in the fixed-width v1 container. */
+/** Bytes the same records occupy at their raw 22-byte field width. */
 uint64_t
-v1EquivalentBytes(uint64_t records)
+rawBytes(uint64_t records)
 {
-    return records * 22 + 16;
+    return records * 22;
 }
 
 int
@@ -56,7 +42,6 @@ toolMain(int argc, char **argv)
          "decode the records (streamed): instruction mix and\n"
          "critical-section analysis"},
         {"dump", "N", "print the first N records (text only)"},
-        kChunkInstsFlag,
         kFormatFlag, kOutFlag,
     });
     if (!cli.has("in"))
@@ -81,7 +66,7 @@ toolMain(int argc, char **argv)
     std::optional<StreamingFileSource> src;
     if (full || dump) {
         try {
-            src.emplace(path, cli.num("chunk-insts", 0));
+            src.emplace(path);
         } catch (const TraceFormatError &e) {
             std::cerr << "error: " << e.what() << "\n";
             return 1;
@@ -123,16 +108,12 @@ toolMain(int argc, char **argv)
         reg.counter("trace.records", info.records);
         reg.counter("trace.fileBytes", info.fileBytes);
         reg.counter("trace.version", info.version);
-        reg.counter("trace.bodyFormat", info.bodyFormat);
-        if (info.version == 4) {
-            reg.counter("trace.chunks", info.chunks);
-            reg.counter("trace.chunkInsts", info.chunkInsts);
-        }
+        reg.counter("trace.chunks", info.chunks);
+        reg.counter("trace.chunkInsts", info.chunkInsts);
         if (info.records) {
             reg.scalar("trace.compressionRatio",
                        static_cast<double>(info.fileBytes) /
-                           static_cast<double>(
-                               v1EquivalentBytes(info.records)));
+                           static_cast<double>(rawBytes(info.records)));
         }
         if (full) {
             reg.counter("trace.loads", mix.loads);
@@ -157,20 +138,16 @@ toolMain(int argc, char **argv)
 
     os << "records:  " << info.records << "\n"
        << "bytes:    " << info.fileBytes << "\n"
-       << "format:   v" << info.version << " ("
-       << bodyFormatName(info.bodyFormat) << " body)\n";
-    if (info.version == 4) {
-        os << "chunks:   " << info.chunks << " x " << info.chunkInsts
-           << " records\n";
-    }
+       << "format:   v" << info.version << "\n"
+       << "chunks:   " << info.chunks << " x " << info.chunkInsts
+       << " records\n";
     if (info.records) {
         // From the header alone: how this container compares to the
-        // same records in fixed-width v1.
+        // same records at their raw field width.
         os << "compression: " << std::fixed << std::setprecision(3)
            << static_cast<double>(info.fileBytes) /
-                static_cast<double>(v1EquivalentBytes(info.records))
-           << "x of v1 equivalent ("
-           << v1EquivalentBytes(info.records) << " bytes)\n"
+                static_cast<double>(rawBytes(info.records))
+           << "x of raw (" << rawBytes(info.records) << " bytes)\n"
            << std::defaultfloat << std::setprecision(6);
     }
     if (!info.fingerprint.empty())
