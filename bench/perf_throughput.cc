@@ -2,8 +2,9 @@
  * @file
  * Simulator performance harness (google-benchmark): trace generation
  * throughput, cache-only replay throughput, full epoch-engine
- * throughput on each commercial workload, and on-disk v4 trace decode
- * throughput.
+ * throughput on each commercial workload, one end-to-end streamed
+ * run (generator, WC rewrite, lock-role stage, engine), and on-disk
+ * v4 trace decode throughput.
  *
  * The decode benchmark defaults to a generated database-profile trace
  * written to a temp file; pass `--trace PATH` to measure decode of an
@@ -14,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,12 +75,11 @@ epochEngineBench(benchmark::State &state, WorkloadProfile profile)
 {
     SyntheticTraceGenerator gen(profile, 1);
     Trace trace = gen.generate(100000);
-    LockAnalysis locks = LockDetector().analyze(trace);
     SimConfig cfg = SimConfig::defaults();
     cfg.cpiOnChip = profile.cpiOnChip;
     for (auto _ : state) {
         ChipNode chip(HierarchyConfig{}, 0);
-        MlpSimulator sim(cfg, chip, &locks);
+        MlpSimulator sim(cfg, chip);
         SimResult res = sim.run(trace);
         benchmark::DoNotOptimize(res.epochs);
     }
@@ -106,12 +107,11 @@ BM_EpochEngineScout_Database(benchmark::State &state)
     WorkloadProfile profile = WorkloadProfile::database();
     SyntheticTraceGenerator gen(profile, 1);
     Trace trace = gen.generate(100000);
-    LockAnalysis locks = LockDetector().analyze(trace);
     SimConfig cfg = SimConfig::defaults().withScout(ScoutMode::Hws2);
     cfg.cpiOnChip = profile.cpiOnChip;
     for (auto _ : state) {
         ChipNode chip(HierarchyConfig{}, 0);
-        MlpSimulator sim(cfg, chip, &locks);
+        MlpSimulator sim(cfg, chip);
         SimResult res = sim.run(trace);
         benchmark::DoNotOptimize(res.epochs);
     }
@@ -119,6 +119,33 @@ BM_EpochEngineScout_Database(benchmark::State &state)
                             static_cast<int64_t>(trace.size()));
 }
 BENCHMARK(BM_EpochEngineScout_Database);
+
+/**
+ * End to end, the way the tools run a synthetic WC experiment:
+ * Runner::makeSource (generator -> PC->WC rewrite) and Runner::run
+ * (lock-role stage, warmup, measure) on database x wc3, 100K + 400K.
+ * Items are the records simulated, warmup included.
+ */
+void
+BM_Runner_StreamedWcSle(benchmark::State &state)
+{
+    RunSpec spec;
+    spec.profile = WorkloadProfile::database();
+    spec.config = SimConfig::wc3();
+    spec.seed = 1;
+    spec.warmupInsts = 100 * 1000;
+    spec.measureInsts = 400 * 1000;
+    uint64_t records = 0;
+    for (auto _ : state) {
+        std::unique_ptr<TraceSource> src = Runner::makeSource(spec);
+        RunOutput out = Runner::run(spec, *src);
+        benchmark::DoNotOptimize(out.sim.epochs);
+        records = src->knownSize().value_or(0);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(records));
+}
+BENCHMARK(BM_Runner_StreamedWcSle);
 
 /**
  * Full streaming decode of an on-disk trace: construct the source

@@ -15,6 +15,7 @@
 #include "trace/trace_source.hh"
 #include "stats/table.hh"
 #include "trace/generator.hh"
+#include "trace/lock_detector.hh"
 #include "trace/rewriter.hh"
 
 using namespace storemlp;
@@ -41,11 +42,12 @@ main(int argc, char **argv)
     // detect its lock idioms, and rewrite it for weak consistency.
     SyntheticTraceGenerator gen(profile, 42);
     Trace pc_trace = gen.generate(insts + insts / 2);
-    LockAnalysis locks = LockDetector().analyze(pc_trace);
-    Trace wc_trace = TraceRewriter().toWeakConsistency(pc_trace, locks);
+    MaterializedSource pc_src(pc_trace);
+    LockSummary locks = scanLocks(pc_src, [](const TraceRecord &) {});
+    Trace wc_trace = TraceRewriter().toWeakConsistency(pc_trace);
 
     std::cout << "workload: " << profile.name << "\n"
-              << "detected critical sections: " << locks.pairs.size()
+              << "detected critical sections: " << locks.sections
               << "\n"
               << "PC trace: " << pc_trace.size()
               << " records, WC rendition: " << wc_trace.size()

@@ -47,8 +47,10 @@ main()
 
     // 3. Assemble the machine by hand: one chip, no bus.
     ChipNode chip(HierarchyConfig{}, 0);
-    LockAnalysis locks = LockDetector().analyze(loaded);
-    std::cout << "critical sections detected: " << locks.pairs.size()
+    MaterializedSource loaded_src(loaded);
+    LockSummary locks =
+        scanLocks(loaded_src, [](const TraceRecord &) {});
+    std::cout << "critical sections detected: " << locks.sections
               << " (lock-free by construction)\n\n";
 
     // 4. Compare store handling options on the append path.
@@ -60,7 +62,7 @@ main()
         SimConfig cfg;
         cfg.storePrefetch = sp;
         cfg.cpiOnChip = profile.cpiOnChip;
-        MlpSimulator sim(cfg, fresh, &locks);
+        MlpSimulator sim(cfg, fresh);
         SimResult res = sim.run(loaded, 100000);
         std::cout << storePrefetchName(sp) << ": "
                   << res.epochsPer1000() << " epochs/1000, store MLP "

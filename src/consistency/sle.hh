@@ -19,8 +19,8 @@ namespace storemlp
 {
 
 /**
- * Per-instruction elision decisions driven by a LockAnalysis of the
- * trace being simulated (PC or WC form).
+ * Per-instruction elision decisions driven by the lock role of each
+ * record (PC or WC form), as a LockRoleSource chunk carries it.
  */
 class Sle
 {
@@ -33,22 +33,16 @@ class Sle
         Nop,           ///< elided (release store, acquire aux, fences)
     };
 
-    /**
-     * @param analysis lock pairs of the trace; must outlive this
-     * @param enabled  disabled SLE classifies everything Normal
-     */
-    Sle(const LockAnalysis *analysis, bool enabled)
-        : _analysis(analysis), _enabled(enabled && analysis)
-    {
-    }
+    /** @param enabled disabled SLE classifies everything Normal */
+    explicit Sle(bool enabled) : _enabled(enabled) {}
 
-    /** Classify the instruction at trace index `idx`. */
+    /** Classify an instruction by its lock role. */
     Action
-    classify(uint64_t idx)
+    classify(LockRole role)
     {
-        if (!_enabled || idx >= _analysis->roles.size())
+        if (!_enabled)
             return Action::Normal;
-        switch (_analysis->roles[idx]) {
+        switch (role) {
           case LockRole::Acquire:
             ++_elidedAcquires;
             return Action::AcquireAsLoad;
@@ -64,15 +58,13 @@ class Sle
     }
 
     /**
-     * Whether the instruction at `idx` is elided or transformed by
-     * SLE (no stats side effects; usable for pre-dispatch checks).
+     * Whether an instruction with this role is elided or transformed
+     * by SLE (no stats side effects; usable for pre-dispatch checks).
      */
     bool
-    peekElided(uint64_t idx) const
+    peekElided(LockRole role) const
     {
-        if (!_enabled || idx >= _analysis->roles.size())
-            return false;
-        return _analysis->roles[idx] != LockRole::None;
+        return _enabled && role != LockRole::None;
     }
 
     bool enabled() const { return _enabled; }
@@ -81,7 +73,6 @@ class Sle
     void resetStats() { _elidedAcquires = _elidedReleases = 0; }
 
   private:
-    const LockAnalysis *_analysis;
     bool _enabled;
     uint64_t _elidedAcquires = 0;
     uint64_t _elidedReleases = 0;

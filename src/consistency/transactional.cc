@@ -23,37 +23,8 @@ mix(uint64_t x)
 
 } // namespace
 
-TransactionalMemory::TransactionalMemory(const LockAnalysis *analysis,
-                                         const TmConfig &config)
-    : _config(config), _enabled(config.enabled && analysis)
-{
-    if (!_enabled)
-        return;
-
-    for (const LockPair &p : analysis->pairs) {
-        ++_sections;
-        if (!sectionCommits(p.acquireIdx))
-            ++_abortedSections;
-
-        // Index every instruction of the idiom by its acquire. The
-        // roles vector covers auxiliary records (stwcx/isync/lwsync).
-        _byIdx[p.acquireIdx] = {p.acquireIdx, LockRole::Acquire};
-        _byIdx[p.releaseIdx] = {p.acquireIdx, LockRole::Release};
-        for (uint64_t i = p.acquireIdx + 1;
-             i < analysis->roles.size() && i <= p.acquireIdx + 2; ++i) {
-            if (analysis->roles[i] == LockRole::AcquireAux)
-                _byIdx[i] = {p.acquireIdx, LockRole::AcquireAux};
-        }
-        if (p.releaseIdx > 0 &&
-            analysis->roles[p.releaseIdx - 1] == LockRole::ReleaseAux) {
-            _byIdx[p.releaseIdx - 1] = {p.acquireIdx,
-                                        LockRole::ReleaseAux};
-        }
-    }
-}
-
 bool
-TransactionalMemory::sectionCommits(uint64_t acquire_idx) const
+TransactionalMemory::commits(uint64_t acquire_idx) const
 {
     uint64_t h = mix(acquire_idx ^ _config.seed);
     double u = static_cast<double>(h >> 11) *
@@ -62,38 +33,14 @@ TransactionalMemory::sectionCommits(uint64_t acquire_idx) const
 }
 
 TransactionalMemory::Action
-TransactionalMemory::classify(uint64_t idx) const
+TransactionalMemory::classify(LockRole role, uint64_t acquire_idx) const
 {
-    if (!_enabled)
+    if (!_enabled || role == LockRole::None)
         return Action::Normal;
-    auto it = _byIdx.find(idx);
-    if (it == _byIdx.end())
-        return Action::Normal;
-    if (!sectionCommits(it->second.acquireIdx))
+    if (!commits(acquire_idx))
         return Action::Normal; // aborted: locked path
-    switch (it->second.role) {
-      case LockRole::Acquire:
-        return Action::AcquireAsLoad;
-      default:
-        return Action::Nop;
-    }
-}
-
-bool
-TransactionalMemory::peekElided(uint64_t idx) const
-{
-    return classify(idx) != Action::Normal;
-}
-
-bool
-TransactionalMemory::abortsAt(uint64_t idx) const
-{
-    if (!_enabled)
-        return false;
-    auto it = _byIdx.find(idx);
-    if (it == _byIdx.end() || it->second.role != LockRole::Acquire)
-        return false;
-    return !sectionCommits(it->second.acquireIdx);
+    return role == LockRole::Acquire ? Action::AcquireAsLoad
+                                     : Action::Nop;
 }
 
 } // namespace storemlp

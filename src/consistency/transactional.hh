@@ -18,7 +18,6 @@
 #define STOREMLP_CONSISTENCY_TRANSACTIONAL_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "trace/lock_detector.hh"
 
@@ -38,10 +37,12 @@ struct TmConfig
 };
 
 /**
- * Per-critical-section transactional decisions derived from the lock
- * analysis. Committing sections behave exactly like SLE (acquire
- * becomes a plain load, release and fences become NOPs); aborting
- * sections fall back to the locked path.
+ * Per-critical-section transactional decisions. Each lock-idiom
+ * record is classified by its lock role and the trace index of its
+ * section's acquire (a LockRoleSource chunk carries both). Committing
+ * sections behave exactly like SLE (acquire becomes a plain load,
+ * release and fences become NOPs); aborting sections fall back to the
+ * locked path.
  */
 class TransactionalMemory
 {
@@ -54,41 +55,44 @@ class TransactionalMemory
         Nop,           ///< elided release / auxiliary instruction
     };
 
-    TransactionalMemory(const LockAnalysis *analysis,
-                        const TmConfig &config);
+    explicit TransactionalMemory(const TmConfig &config)
+        : _config(config), _enabled(config.enabled)
+    {
+    }
 
-    /** Classify the instruction at trace index `idx`. */
-    Action classify(uint64_t idx) const;
+    /** Classify a record with lock role `role` in the section whose
+     *  acquire is at `acquire_idx`. */
+    Action classify(LockRole role, uint64_t acquire_idx) const;
 
-    /** True if `idx` belongs to a lock idiom elided by a committing
-     *  transaction (no stats side effects). */
-    bool peekElided(uint64_t idx) const;
+    /** True if the record belongs to a lock idiom elided by a
+     *  committing transaction (no stats side effects). */
+    bool
+    peekElided(LockRole role, uint64_t acquire_idx) const
+    {
+        return classify(role, acquire_idx) != Action::Normal;
+    }
 
-    /** True if `idx` is the acquire of an ABORTED section (the
+    /** True if the record is the acquire of an ABORTED section (the
      *  engine charges the rollback penalty there). */
-    bool abortsAt(uint64_t idx) const;
+    bool
+    abortsAt(LockRole role, uint64_t acquire_idx) const
+    {
+        return _enabled && role == LockRole::Acquire &&
+            !commits(acquire_idx);
+    }
+
+    /** Whether the section acquired at `acquire_idx` commits: a
+     *  deterministic hash of (acquire index, seed). */
+    bool commits(uint64_t acquire_idx) const;
 
     /** Rollback penalty in on-chip cycles for an aborted section. */
     double abortPenalty() const { return _config.abortPenaltyCycles; }
 
     bool enabled() const { return _enabled; }
-    uint64_t sections() const { return _sections; }
-    uint64_t abortedSections() const { return _abortedSections; }
 
   private:
-    bool sectionCommits(uint64_t acquire_idx) const;
-
     TmConfig _config;
     bool _enabled;
-    /** idx of any lock-idiom instruction -> acquire idx + role. */
-    struct Entry
-    {
-        uint64_t acquireIdx;
-        LockRole role;
-    };
-    std::unordered_map<uint64_t, Entry> _byIdx;
-    uint64_t _sections = 0;
-    uint64_t _abortedSections = 0;
 };
 
 } // namespace storemlp

@@ -59,16 +59,6 @@ DualCoreRunner::run(const DualRunSpec &spec)
     std::unique_ptr<TraceSource> src1 =
         coreSource(spec, spec.seed + 1, 101, total);
 
-    // Lock analysis feeds SLE/TM only; the simulator never reads it
-    // otherwise (Runner::run semantics), so skip the extra streaming
-    // pass — and its one-byte-per-record roles vector — unless those
-    // optimizations are on.
-    std::optional<LockAnalysis> locks0, locks1;
-    if (spec.config.sle || spec.config.tm.enabled) {
-        locks0 = analyzeSource(*src0);
-        locks1 = analyzeSource(*src1);
-    }
-
     ChipNode chip(HierarchyConfig{}, 0);
     if (spec.prefillL2) {
         SetAssocCache &l2 = chip.hierarchy().l2();
@@ -81,11 +71,13 @@ DualCoreRunner::run(const DualRunSpec &spec)
     SimConfig cfg = spec.config;
     cfg.cpiOnChip = spec.profile.cpiOnChip;
 
-    MlpSimulator sim0(cfg, chip, locks0 ? &*locks0 : nullptr);
-    MlpSimulator sim1(cfg, chip, locks1 ? &*locks1 : nullptr);
+    MlpSimulator sim0(cfg, chip);
+    MlpSimulator sim1(cfg, chip);
 
-    TraceCursor cur0(*src0);
-    TraceCursor cur1(*src1);
+    // One pass per core; SLE/TM read roles from the lock-role stage.
+    std::optional<LockRoleSource> stage0, stage1;
+    TraceCursor cur0(engineInput(cfg, *src0, stage0));
+    TraceCursor cur1(engineInput(cfg, *src1, stage1));
 
     // Interleave the cores at a fixed quantum. The epoch engines keep
     // private pipeline state; only the chip's memory system is shared,

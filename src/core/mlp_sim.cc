@@ -18,17 +18,22 @@ namespace
 constexpr size_t kInfiniteSq = 1u << 20;
 } // namespace
 
-MlpSimulator::MlpSimulator(const SimConfig &config, ChipNode &chip,
-                           const LockAnalysis *locks)
-    : _cfg(config), _chip(chip), _sle(locks, config.sle),
-      _tm(locks, config.tm), _sb(config.storeBufferSize),
+TraceSource &
+engineInput(const SimConfig &cfg, TraceSource &src,
+            std::optional<LockRoleSource> &stage)
+{
+    if (!cfg.sle && !cfg.tm.enabled)
+        return src;
+    stage.emplace(src);
+    return *stage;
+}
+
+MlpSimulator::MlpSimulator(const SimConfig &config, ChipNode &chip)
+    : _cfg(config), _chip(chip), _sle(config.sle), _tm(config.tm),
+      _sb(config.storeBufferSize),
       _sq(config.infiniteStoreQueue ? kInfiniteSq : config.storeQueueSize,
           config.coalesceBytes, config.memoryModel.coalesce)
 {
-    if ((_cfg.sle || _cfg.tm.enabled) && !locks) {
-        throw std::invalid_argument(
-            "MlpSimulator: SLE/TM require a LockAnalysis of the trace");
-    }
     if (_cfg.sle && _cfg.tm.enabled) {
         throw std::invalid_argument(
             "MlpSimulator: SLE and transactional memory are mutually "
@@ -46,20 +51,20 @@ MlpSimulator::MlpSimulator(const SimConfig &config, ChipNode &chip,
 }
 
 bool
-MlpSimulator::elidedAt(uint64_t idx)
+MlpSimulator::elided(LockTag lock) const
 {
-    if (_cfg.sle && _sle.peekElided(idx))
+    if (_cfg.sle && _sle.peekElided(lock.role))
         return true;
-    return _tm.enabled() && _tm.peekElided(idx);
+    return _tm.enabled() && _tm.peekElided(lock.role, lock.acquireIdx);
 }
 
 Sle::Action
-MlpSimulator::elideAction(uint64_t idx)
+MlpSimulator::elideAction(LockTag lock)
 {
     if (_cfg.sle)
-        return _sle.classify(idx);
+        return _sle.classify(lock.role);
     if (_tm.enabled()) {
-        switch (_tm.classify(idx)) {
+        switch (_tm.classify(lock.role, lock.acquireIdx)) {
           case TransactionalMemory::Action::AcquireAsLoad:
             return Sle::Action::AcquireAsLoad;
           case TransactionalMemory::Action::Nop:
@@ -546,7 +551,7 @@ MlpSimulator::handleSerializing(TraceCursor &cur, SerializeEffect eff)
 
 void
 MlpSimulator::dispatch(TraceCursor &cur, uint64_t pc, uint64_t addr,
-                       InstClass cls, uint32_t meta)
+                       InstClass cls, uint32_t meta, LockTag lock)
 {
     _cycle += _cfg.cpiOnChip;
     if (_collect) {
@@ -560,8 +565,8 @@ MlpSimulator::dispatch(TraceCursor &cur, uint64_t pc, uint64_t addr,
     uint8_t flags = meta >> 24;
 
     if (_elisionActive) {
-        Sle::Action act = elideAction(_i);
-        if (_tm.enabled() && _tm.abortsAt(_i)) {
+        Sle::Action act = elideAction(lock);
+        if (_tm.abortsAt(lock.role, lock.acquireIdx)) {
             // Aborted transaction: roll back and retry with the lock
             // held (the instruction then executes on the locked path).
             _cycle += _tm.abortPenalty();
@@ -673,6 +678,9 @@ MlpSimulator::stepOne(TraceCursor &cur)
     uint32_t meta = v->meta[off];
     InstClass cls = static_cast<InstClass>(v->cls[off]);
     const ClassPlan &plan = _plan[v->cls[off]];
+    LockTag lock;
+    if (_elisionActive)
+        lock = lockTagAt(*v, _i);
 
     // ---- fetch ----
     if (!_skipFetch) {
@@ -747,14 +755,14 @@ MlpSimulator::stepOne(TraceCursor &cur)
 
     // ---- serializing instructions: pre-execution barrier ----
     // SLE removes the serializing semantics of elided lock sequences.
-    if (plan.serializing && !elidedAt(_i)) {
+    if (plan.serializing && !elided(lock)) {
         if (!handleSerializing(cur, plan.eff))
             return true; // retry after the stall / drain progress
     }
 
     // ---- dispatch resource checks ----
     // Elided stores never enter the store buffer.
-    bool needs_sb = plan.isStore && !(_elisionActive && elidedAt(_i));
+    bool needs_sb = plan.isStore && !(_elisionActive && elided(lock));
     auto window_blocked = [&] {
         return _rob.size() >= _cfg.robSize ||
             _deferredCount >= _cfg.issueWindowSize ||
@@ -784,7 +792,9 @@ MlpSimulator::stepOne(TraceCursor &cur)
     }
 
     // ---- dispatch ----
-    dispatch(cur, pc, addr, cls, meta);
+    dispatch(cur, pc, addr, cls, meta, lock);
+    if (_collect && plan.isStore)
+        ++_measuredStores;
     ++_i;
     _skipFetch = false;
     notePeerProgress();
@@ -823,6 +833,16 @@ MlpSimulator::process(TraceCursor &cur, uint64_t begin, uint64_t end,
     if (collect && !was_collect && _gen.open)
         resolveGeneration();
     _i = begin;
+
+    if (_elisionActive) {
+        const TraceCursor::LaneView *v = cur.view(begin);
+        if (v && !v->role) {
+            throw std::invalid_argument(
+                "MlpSimulator: SLE/TM need lock roles on the record "
+                "stream; read it through a LockRoleSource "
+                "(engineInput)");
+        }
+    }
 
     // Bookkeeping — chunk release and the forward-progress guard —
     // runs at batch boundaries instead of every step. The batch is
@@ -869,14 +889,16 @@ MlpSimulator::process(const Trace &trace, uint64_t begin, uint64_t end,
                       bool collect)
 {
     MaterializedSource src(trace);
-    TraceCursor cur(src);
+    std::optional<LockRoleSource> stage;
+    TraceCursor cur(engineInput(_cfg, src, stage));
     process(cur, begin, std::min<uint64_t>(end, trace.size()), collect);
 }
 
 SimResult
 MlpSimulator::run(TraceSource &src, uint64_t warmup_insts)
 {
-    TraceCursor cur(src);
+    std::optional<LockRoleSource> stage;
+    TraceCursor cur(engineInput(_cfg, src, stage));
     uint64_t start = 0;
     if (warmup_insts) {
         process(cur, 0, warmup_insts, false);

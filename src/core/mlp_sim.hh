@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/line_set.hh"
@@ -40,10 +41,6 @@
 namespace storemlp
 {
 
-/**
- * The epoch-model simulator for one core. Owns pipeline bookkeeping;
- * borrows the chip-level memory system.
- */
 /** One counted epoch, as reported to the epoch listener. */
 struct EpochRecord
 {
@@ -58,36 +55,52 @@ struct EpochRecord
     uint32_t sbOccupancy = 0;
 };
 
+/**
+ * The stream an engine configured with `cfg` reads from `src`. SLE
+ * and TM need lock roles on every chunk, so for them this builds a
+ * LockRoleSource over `src` in `stage` and returns it; every other
+ * configuration reads `src` as is.
+ */
+TraceSource &engineInput(const SimConfig &cfg, TraceSource &src,
+                         std::optional<LockRoleSource> &stage);
+
+/**
+ * The epoch-model simulator for one core. Owns pipeline bookkeeping;
+ * borrows the chip-level memory system.
+ */
 class MlpSimulator
 {
   public:
     /**
      * @param config microarchitecture + optimization configuration
      * @param chip   coherent memory system of this core's chip
-     * @param locks  lock analysis of the trace (required for SLE)
      */
-    MlpSimulator(const SimConfig &config, ChipNode &chip,
-                 const LockAnalysis *locks = nullptr);
+    MlpSimulator(const SimConfig &config, ChipNode &chip);
 
     /**
      * Process records [begin, end) of the stream behind `cur`. May be
      * called repeatedly (e.g. an uncollected warmup pass followed by a
      * measured pass); pipeline and cache state persist across calls.
      * Stops early at end-of-stream, so `end` may be ~0 for "the rest".
+     * With SLE or TM on, `cur` must read a LockRoleSource (see
+     * engineInput); otherwise this throws std::invalid_argument.
      * @param collect record statistics into the result
      */
     void process(TraceCursor &cur, uint64_t begin, uint64_t end,
                  bool collect);
 
     /**
-     * Compatibility shim over the cursor path; behaviorally identical
-     * to pre-TraceSource releases. Slated for deletion — prefer the
-     * TraceCursor overload.
+     * Compatibility shim over the cursor path (adds the lock-role
+     * stage itself); behaviorally identical to pre-TraceSource
+     * releases. Slated for deletion — prefer the TraceCursor overload.
      */
     void process(const Trace &trace, uint64_t begin, uint64_t end,
                  bool collect);
 
-    /** Convenience: warmup then measure the rest of the stream. */
+    /**
+     * Convenience: warmup then measure the rest of the stream, read
+     * through engineInput (so SLE/TM get their lock roles).
+     */
     SimResult run(TraceSource &src, uint64_t warmup_insts = 0);
 
     /** Compatibility shim; prefer the TraceSource overload. */
@@ -98,6 +111,14 @@ class MlpSimulator
      * process() call stopped (its `end`, or the stream end).
      */
     uint64_t position() const { return _i; }
+
+    /**
+     * Store-class records (by trace class, before any SLE/TM
+     * transformation) dispatched while collecting: the Table-1 store
+     * tally of the measured interval. Not part of SimResult, whose
+     * exported stats it would change.
+     */
+    uint64_t measuredStores() const { return _measuredStores; }
 
     /** Drain in-flight state and return accumulated statistics. */
     SimResult takeResult();
@@ -212,13 +233,28 @@ class MlpSimulator
     };
 
     // ---- main loop steps ----
+    /** Lock role of one record and the index of its section's
+     *  acquire, read from the role lanes. */
+    struct LockTag
+    {
+        LockRole role = LockRole::None;
+        uint64_t acquireIdx = 0;
+    };
+    static LockTag
+    lockTagAt(const TraceCursor::LaneView &v, uint64_t idx)
+    {
+        uint64_t off = idx - v.first;
+        return {static_cast<LockRole>(v.role[off]),
+                idx - v.acqDist[off]};
+    }
+
     /** One fetch/dispatch step; false once _i is past the stream. */
     bool stepOne(TraceCursor &cur);
     /** Execute (or defer) the record at _rob entry e; replay-safe. */
     void executeEntry(RobEntry &e, bool replay);
     /** Dispatch one record, handed in as lane values (see stepOne). */
     void dispatch(TraceCursor &cur, uint64_t pc, uint64_t addr,
-                  InstClass cls, uint32_t meta);
+                  InstClass cls, uint32_t meta, LockTag lock);
     bool handleSerializing(TraceCursor &cur, SerializeEffect eff);
 
     // ---- retirement / commit ----
@@ -247,10 +283,10 @@ class MlpSimulator
     bool scoutEligible(TermCond cond) const;
 
     // ---- helpers ----
-    /** Combined SLE / transactional-memory elision at a trace index. */
-    bool elidedAt(uint64_t idx);
+    /** Combined SLE / transactional-memory elision of a record. */
+    bool elided(LockTag lock) const;
     /** Combined elision action (TM actions map onto SLE's). */
-    Sle::Action elideAction(uint64_t idx);
+    Sle::Action elideAction(LockTag lock);
     bool poisoned(uint8_t src1, uint8_t src2) const;
     /**
      * Branch-free in the common single-core case: a dead bool test
@@ -292,6 +328,7 @@ class MlpSimulator
     double _cycle = 0.0;
     bool _collect = false;
     SimResult _res;
+    uint64_t _measuredStores = 0;
 
     // observers
     EpochListener _epochListener;

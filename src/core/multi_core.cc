@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "coherence/bus.hh"
@@ -129,15 +130,6 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
     for (uint32_t c = 0; c < n; ++c)
         sources.push_back(coreSource(spec, prof, c, total));
 
-    // Lock analysis feeds SLE/TM only; skip the extra streaming pass
-    // unless those optimizations are on (Runner::run semantics).
-    std::vector<LockAnalysis> locks;
-    if (spec.config.sle || spec.config.tm.enabled) {
-        locks.reserve(n);
-        for (uint32_t c = 0; c < n; ++c)
-            locks.push_back(analyzeSource(*sources[c]));
-    }
-
     // ---- the machine: M chips, bus-connected when M > 1 ----
     HierarchyConfig hier_cfg = spec.hierarchy.value_or(HierarchyConfig{});
     SnoopBus bus;
@@ -164,14 +156,17 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
     SimConfig cfg = spec.config;
     cfg.cpiOnChip = prof.cpiOnChip;
 
+    // Each core reads its stream once, through the lock-role stage
+    // when SLE/TM are on (Runner::run semantics).
     std::vector<std::unique_ptr<MlpSimulator>> sims;
+    std::vector<std::optional<LockRoleSource>> stages(n);
     std::vector<std::unique_ptr<TraceCursor>> cursors;
     sims.reserve(n);
     cursors.reserve(n);
     for (uint32_t c = 0; c < n; ++c) {
-        sims.push_back(std::make_unique<MlpSimulator>(
-            cfg, *chips[c % m], locks.empty() ? nullptr : &locks[c]));
-        cursors.push_back(std::make_unique<TraceCursor>(*sources[c]));
+        sims.push_back(std::make_unique<MlpSimulator>(cfg, *chips[c % m]));
+        cursors.push_back(std::make_unique<TraceCursor>(
+            engineInput(cfg, *sources[c], stages[c])));
     }
 
     // ---- deterministic quantum-interleaved execution ----

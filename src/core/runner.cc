@@ -15,7 +15,6 @@
 #include "core/epoch_log.hh"
 #include "core/mlp_sim.hh"
 #include "trace/generator.hh"
-#include "trace/lock_detector.hh"
 #include "trace/rewriter.hh"
 
 namespace storemlp
@@ -88,13 +87,6 @@ Runner::makeSource(const RunSpec &spec, uint64_t chunk_insts,
 RunOutput
 Runner::run(const RunSpec &spec, TraceSource &source)
 {
-    // Lock analysis feeds SLE/TM only; the simulator never reads it
-    // otherwise, so skip the extra pass (and its one-byte-per-record
-    // roles vector) unless those optimizations are on.
-    std::optional<LockAnalysis> locks;
-    if (spec.config.sle || spec.config.tm.enabled)
-        locks = analyzeSource(source);
-
     // ---- build the machine ----
     HierarchyConfig hier_cfg = spec.hierarchy.value_or(HierarchyConfig{});
     SnoopBus bus;
@@ -140,7 +132,7 @@ Runner::run(const RunSpec &spec, TraceSource &source)
     SimConfig cfg = spec.config;
     cfg.cpiOnChip = spec.profile.cpiOnChip;
 
-    MlpSimulator sim(cfg, local, locks ? &*locks : nullptr);
+    MlpSimulator sim(cfg, local);
     std::optional<EpochLogWriter> epoch_log;
     if (spec.epochLog) {
         epoch_log.emplace(*spec.epochLog);
@@ -155,8 +147,11 @@ Runner::run(const RunSpec &spec, TraceSource &source)
         });
     }
 
-    // ---- warm, reset, measure ----
-    TraceCursor cur(source);
+    // ---- warm, reset, measure: one forward pass over the source ----
+    // SLE/TM read lock roles from the chunks, detected by the stage
+    // one pairing window ahead of the engine.
+    std::optional<LockRoleSource> stage;
+    TraceCursor cur(engineInput(cfg, source, stage));
     sim.process(cur, 0, spec.warmupInsts, false);
     uint64_t warmup_end = sim.position(); // min(warmup, stream length)
     local.resetStats();
@@ -168,13 +163,9 @@ Runner::run(const RunSpec &spec, TraceSource &source)
     out.sim = sim.takeResult();
 
     // ---- Table 1 style rates over the measured records ----
-    uint64_t stores = 0;
-    uint64_t measured =
-        forEachRecord(source, warmup_end, end_idx,
-                      [&](const TraceRecord &r) {
-                          if (isStoreClass(r.cls))
-                              ++stores;
-                      });
+    // The engine tallied the stores as it dispatched them.
+    uint64_t stores = sim.measuredStores();
+    uint64_t measured = end_idx - warmup_end;
     if (measured) {
         double n = static_cast<double>(measured);
         out.storesPer100 = 100.0 * static_cast<double>(stores) / n;

@@ -5,6 +5,8 @@
  * analysis, chips/bus/SMAC, peer traffic — warms it up and measures,
  * mirroring the paper's methodology (Section 4.2): warm the caches on
  * a prefix of the trace, then collect statistics on the remainder.
+ * A run is one forward pass over its source: lock roles ride the
+ * chunks (LockRoleSource) and the engine tallies the Table-1 stores.
  */
 
 #ifndef STOREMLP_CORE_RUNNER_HH
@@ -137,7 +139,9 @@ class Runner
      * the stream `buildTrace`/`makeSource` would produce). This is the
      * primary entry point: resident trace memory is O(chunk) for
      * streaming sources, and a MaterializedSource reproduces the
-     * historical whole-trace behavior bit for bit.
+     * historical whole-trace behavior bit for bit. The source is
+     * walked once, forward: each chunk is fetched exactly once (with
+     * SLE/TM, through a LockRoleSource this call wraps around it).
      */
     static RunOutput run(const RunSpec &spec, TraceSource &source);
 

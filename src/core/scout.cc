@@ -107,7 +107,7 @@ MlpSimulator::lookahead(TraceCursor &cur, uint64_t start,
         }
 
         InstClass cls = static_cast<InstClass>(v->cls[off]);
-        if (elidedAt(j)) {
+        if (_elisionActive && elided(lockTagAt(*v, j))) {
             // Acquires act as loads; everything else elides to a NOP.
             if (cls == InstClass::AtomicCas ||
                 cls == InstClass::LoadLocked) {

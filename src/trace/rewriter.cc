@@ -110,8 +110,8 @@ WcRewriteSource::produceNext()
             _drained = true;
         }
         while (_det.finalizedCount()) {
-            auto [rec, role] = _det.pop();
-            appendWcExpansion(rec, role, _outCarry);
+            FinalizedRecord f = _det.pop();
+            appendWcExpansion(f.rec, f.role, _outCarry);
         }
     }
 

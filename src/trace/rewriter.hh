@@ -62,7 +62,7 @@ class WcRewriteSource : public TraceSource
 {
   public:
     explicit WcRewriteSource(std::unique_ptr<TraceSource> inner,
-                             uint64_t window = 512);
+                             uint64_t window = kLockWindow);
 
     std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
     std::optional<uint64_t> knownSize() const override;

@@ -20,6 +20,12 @@ namespace storemlp
 TraceChunk::LaneRefs
 TraceChunk::lanes() const
 {
+    if (_inner) {
+        LaneRefs refs = _inner->lanes();
+        refs.role = _locks.role.data();
+        refs.acqDist = _locks.acqDist.data();
+        return refs;
+    }
     if (_extLanes) {
         return {_extLanes->pc.data() + _extOff,
                 _extLanes->addr.data() + _extOff,
@@ -82,6 +88,8 @@ TraceCursor::slowView(uint64_t idx)
     _view.addr = refs.addr;
     _view.cls = refs.cls;
     _view.meta = refs.meta;
+    _view.role = refs.role;
+    _view.acqDist = refs.acqDist;
     _view.first = _curChunk->firstIdx;
     _view.count = _curChunk->count;
     return &_view;

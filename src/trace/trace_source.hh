@@ -3,8 +3,8 @@
  * Streaming trace pipeline: the TraceSource abstraction and its chunk
  * cursor. A TraceSource hands out fixed-size immutable chunks of
  * TraceRecords on demand, so consumers (the epoch engine, the lock
- * detector, the Table-1 tallies) hold O(chunk) records resident
- * instead of materializing a whole trace vector:
+ * detector) hold O(chunk) records resident instead of materializing
+ * a whole trace vector:
  *
  *   MaterializedSource  zero-copy chunk views over an in-memory Trace
  *                       (the compatibility path; identical behavior).
@@ -18,6 +18,9 @@
  *   CachedSource        routes chunk construction through a shared
  *                       TraceCache keyed by (fingerprint, chunk index)
  *                       so parallel sweep workers share chunk decodes.
+ *   LockRoleSource      re-serves an inner source's chunks, records
+ *                       and lanes borrowed, with the lock-role lanes
+ *                       SLE/TM read (lock_detector.hh).
  *
  * Chunking is an execution detail, never a semantic one: any chunk
  * size yields the identical record stream, and the equivalence suite
@@ -45,6 +48,18 @@ namespace storemlp
 
 /** Default records per chunk (64K records ~= 2 MB resident). */
 inline constexpr uint64_t kDefaultChunkInsts = uint64_t{1} << 16;
+
+/**
+ * Per-record lock annotations a LockRoleSource attaches to a chunk.
+ * `role` holds a LockRole per record; where it is not None, `acqDist`
+ * is the distance back to the acquire of that record's critical
+ * section (0 for the acquire itself).
+ */
+struct LockLanes
+{
+    std::vector<uint8_t> role;
+    std::vector<uint16_t> acqDist;
+};
 
 /**
  * One immutable run of consecutive trace records. Either owns its
@@ -79,6 +94,17 @@ class TraceChunk
     {
     }
 
+    /**
+     * Decorated view: `inner`'s records and SoA lanes, borrowed, plus
+     * the lock lanes (one entry per record of `inner`).
+     */
+    TraceChunk(std::shared_ptr<const TraceChunk> inner, LockLanes locks)
+        : firstIdx(inner->firstIdx), data(inner->data),
+          count(inner->count), _inner(std::move(inner)),
+          _locks(std::move(locks))
+    {
+    }
+
     TraceChunk(const TraceChunk &) = delete;
     TraceChunk &operator=(const TraceChunk &) = delete;
 
@@ -93,7 +119,8 @@ class TraceChunk
      * Pointers to this chunk's SoA lanes (see TraceLanes), so the
      * engine's record fetch and the scout's lookahead scan are linear
      * lane walks instead of strided struct reads. Index with
-     * `idx - firstIdx`.
+     * `idx - firstIdx`. `role`/`acqDist` are the LockLanes of a
+     * LockRoleSource chunk and null on every other chunk.
      */
     struct LaneRefs
     {
@@ -101,6 +128,8 @@ class TraceChunk
         const uint64_t *addr;
         const uint8_t *cls;
         const uint32_t *meta;
+        const uint8_t *role = nullptr;
+        const uint16_t *acqDist = nullptr;
     };
 
     /**
@@ -116,6 +145,9 @@ class TraceChunk
 
     std::shared_ptr<const TraceLanes> _extLanes; ///< borrowed lanes
     uint64_t _extOff = 0; ///< index of data[0] within *_extLanes
+
+    std::shared_ptr<const TraceChunk> _inner; ///< decorated chunk
+    LockLanes _locks; ///< decorated view's lock lanes
 
     mutable TraceLanes _lanes; ///< derived lanes (no-_extLanes case)
     mutable std::once_flag _lanesOnce;
@@ -198,7 +230,8 @@ class TraceCursor
     /**
      * Structure-of-arrays window covering `idx`. Index the lanes with
      * `idx - first`; the view stays valid until the next cursor call.
-     * nullptr once `idx` is past the end.
+     * nullptr once `idx` is past the end. `role`/`acqDist` are null
+     * unless the source is a LockRoleSource.
      */
     struct LaneView
     {
@@ -206,6 +239,8 @@ class TraceCursor
         const uint64_t *addr = nullptr;
         const uint8_t *cls = nullptr;
         const uint32_t *meta = nullptr;
+        const uint8_t *role = nullptr;
+        const uint16_t *acqDist = nullptr;
         uint64_t first = 0;
         uint64_t count = 0;
     };

@@ -10,6 +10,7 @@
 
 #include <initializer_list>
 #include <unordered_set>
+#include <vector>
 
 #include "coherence/chip.hh"
 #include "core/mlp_sim.hh"
@@ -90,13 +91,12 @@ class SimRig
         chip.resetStats();
     }
 
-    /** Analyze locks, warm, run, and return the results. */
+    /** Warm, run (locks detected on the way), return the results. */
     SimResult
     run(const Trace &trace, const SimConfig &cfg)
     {
-        locks = LockDetector().analyze(trace);
         warmFor(trace);
-        MlpSimulator sim(cfg, chip, &locks);
+        MlpSimulator sim(cfg, chip);
         return sim.run(trace);
     }
 
@@ -104,14 +104,76 @@ class SimRig
     SimResult
     runCold(const Trace &trace, const SimConfig &cfg)
     {
-        locks = LockDetector().analyze(trace);
-        MlpSimulator sim(cfg, chip, &locks);
+        MlpSimulator sim(cfg, chip);
         return sim.run(trace);
     }
 
     ChipNode chip;
-    LockAnalysis locks;
 };
+
+/**
+ * Lock tags of a hand-written trace as the lock-role stage attaches
+ * them: each record's role and its section's acquire index (None / 0
+ * past the end).
+ */
+class StageTags
+{
+  public:
+    explicit StageTags(const Trace &trace)
+    {
+        MaterializedSource src(trace);
+        LockRoleSource roles(src);
+        TraceCursor cur(roles);
+        for (uint64_t i = 0; const TraceCursor::LaneView *v = cur.view(i);
+             ++i) {
+            uint64_t off = i - v->first;
+            _role.push_back(static_cast<LockRole>(v->role[off]));
+            _acq.push_back(i - v->acqDist[off]);
+        }
+    }
+
+    LockRole
+    role(uint64_t idx) const
+    {
+        return idx < _role.size() ? _role[idx] : LockRole::None;
+    }
+    uint64_t
+    acquire(uint64_t idx) const
+    {
+        return idx < _acq.size() ? _acq[idx] : 0;
+    }
+
+  private:
+    std::vector<LockRole> _role;
+    std::vector<uint64_t> _acq;
+};
+
+/**
+ * Whole-stream roles and pairs as the lock-role stage attaches them,
+ * in LockAnalysis form for comparison with the batch detector: each
+ * release record gives one pair, its acquire `acqDist` records back.
+ */
+inline LockAnalysis
+stageAnalysis(TraceSource &src)
+{
+    LockRoleSource roles(src);
+    LockAnalysis out;
+    for (uint64_t k = 0; std::shared_ptr<const TraceChunk> c =
+                             roles.fetch(k);
+         ++k) {
+        TraceChunk::LaneRefs lanes = c->lanes();
+        for (uint64_t off = 0; off < c->count; ++off) {
+            auto role = static_cast<LockRole>(lanes.role[off]);
+            out.roles.push_back(role);
+            if (role == LockRole::Release) {
+                uint64_t idx = c->firstIdx + off;
+                out.pairs.push_back({idx - lanes.acqDist[off], idx,
+                                     c->data[off].addr});
+            }
+        }
+    }
+    return out;
+}
 
 /** Append `n` filler ALU instructions (forces window-full stalls). */
 inline TraceBuilder &

@@ -7,6 +7,7 @@
 
 #include "consistency/memory_model.hh"
 #include "consistency/sle.hh"
+#include "sim_test_util.hh"
 #include "trace/trace.hh"
 
 namespace storemlp
@@ -91,11 +92,11 @@ TEST(SerializeEffect, PlainInstructionsDoNotSerialize)
 TEST(Sle, DisabledClassifiesEverythingNormal)
 {
     Trace t = TraceBuilder().casa(0x100).store(0x100).build();
-    LockAnalysis a = LockDetector().analyze(t);
-    Sle sle(&a, false);
-    EXPECT_EQ(sle.classify(0), Sle::Action::Normal);
-    EXPECT_EQ(sle.classify(1), Sle::Action::Normal);
-    EXPECT_FALSE(sle.peekElided(0));
+    test::StageTags a(t);
+    Sle sle(false);
+    EXPECT_EQ(sle.classify(a.role(0)), Sle::Action::Normal);
+    EXPECT_EQ(sle.classify(a.role(1)), Sle::Action::Normal);
+    EXPECT_FALSE(sle.peekElided(a.role(0)));
 }
 
 TEST(Sle, ElidesAcquireAndRelease)
@@ -105,11 +106,11 @@ TEST(Sle, ElidesAcquireAndRelease)
         .load(0x5000)
         .store(0x100)
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
-    Sle sle(&a, true);
-    EXPECT_EQ(sle.classify(0), Sle::Action::AcquireAsLoad);
-    EXPECT_EQ(sle.classify(1), Sle::Action::Normal);
-    EXPECT_EQ(sle.classify(2), Sle::Action::Nop);
+    test::StageTags a(t);
+    Sle sle(true);
+    EXPECT_EQ(sle.classify(a.role(0)), Sle::Action::AcquireAsLoad);
+    EXPECT_EQ(sle.classify(a.role(1)), Sle::Action::Normal);
+    EXPECT_EQ(sle.classify(a.role(2)), Sle::Action::Nop);
     EXPECT_EQ(sle.elidedAcquires(), 1u);
     EXPECT_EQ(sle.elidedReleases(), 1u);
 }
@@ -124,33 +125,33 @@ TEST(Sle, ElidesWcAuxInstructions)
         .lwsync()
         .store(0x100)
         .build();
-    LockAnalysis a = LockDetector().analyze(t);
-    Sle sle(&a, true);
-    EXPECT_EQ(sle.classify(0), Sle::Action::AcquireAsLoad);
-    EXPECT_EQ(sle.classify(1), Sle::Action::Nop); // stwcx
-    EXPECT_EQ(sle.classify(2), Sle::Action::Nop); // isync
-    EXPECT_EQ(sle.classify(4), Sle::Action::Nop); // lwsync
-    EXPECT_EQ(sle.classify(5), Sle::Action::Nop); // release
+    test::StageTags a(t);
+    Sle sle(true);
+    EXPECT_EQ(sle.classify(a.role(0)), Sle::Action::AcquireAsLoad);
+    EXPECT_EQ(sle.classify(a.role(1)), Sle::Action::Nop); // stwcx
+    EXPECT_EQ(sle.classify(a.role(2)), Sle::Action::Nop); // isync
+    EXPECT_EQ(sle.classify(a.role(4)), Sle::Action::Nop); // lwsync
+    EXPECT_EQ(sle.classify(a.role(5)), Sle::Action::Nop); // release
 }
 
 TEST(Sle, PeekMatchesClassifyWithoutStats)
 {
     Trace t = TraceBuilder().casa(0x100).store(0x100).build();
-    LockAnalysis a = LockDetector().analyze(t);
-    Sle sle(&a, true);
-    EXPECT_TRUE(sle.peekElided(0));
-    EXPECT_TRUE(sle.peekElided(1));
-    EXPECT_FALSE(sle.peekElided(99));
+    test::StageTags a(t);
+    Sle sle(true);
+    EXPECT_TRUE(sle.peekElided(a.role(0)));
+    EXPECT_TRUE(sle.peekElided(a.role(1)));
+    EXPECT_FALSE(sle.peekElided(a.role(99)));
     EXPECT_EQ(sle.elidedAcquires(), 0u); // peek has no side effects
 }
 
 TEST(Sle, UnpairedCasaNotElided)
 {
     Trace t = TraceBuilder().casa(0x100).alu().build();
-    LockAnalysis a = LockDetector().analyze(t);
-    Sle sle(&a, true);
-    EXPECT_EQ(sle.classify(0), Sle::Action::Normal);
-    EXPECT_FALSE(sle.peekElided(0));
+    test::StageTags a(t);
+    Sle sle(true);
+    EXPECT_EQ(sle.classify(a.role(0)), Sle::Action::Normal);
+    EXPECT_FALSE(sle.peekElided(a.role(0)));
 }
 
 } // namespace

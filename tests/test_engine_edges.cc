@@ -210,9 +210,8 @@ TEST(EngineEdges, RerunAfterTakeResultContinues)
     Trace t2 = b2.build();
 
     SimRig rig;
-    rig.locks = LockDetector().analyze(t1);
     rig.warmFor(t1);
-    MlpSimulator sim(SimConfig::defaults(), rig.chip, &rig.locks);
+    MlpSimulator sim(SimConfig::defaults(), rig.chip);
     sim.process(t1, 0, t1.size(), true);
     SimResult first = sim.takeResult();
     sim.process(t2, 0, t2.size(), true);
@@ -227,12 +226,11 @@ TEST(EngineEdges, ChunkedProcessingMatchesSingleRun)
     // continuous run for a single core.
     WorkloadProfile p = WorkloadProfile::testTiny();
     Trace t = SyntheticTraceGenerator(p, 5).generate(60000);
-    LockAnalysis locks = LockDetector().analyze(t);
 
     auto run_chunked = [&](uint64_t chunk) {
         ChipNode chip(HierarchyConfig{}, 0);
         SimConfig cfg = SimConfig::defaults();
-        MlpSimulator sim(cfg, chip, &locks);
+        MlpSimulator sim(cfg, chip);
         for (uint64_t pos = 0; pos < t.size(); pos += chunk)
             sim.process(t, pos, std::min<uint64_t>(pos + chunk,
                                                    t.size()),

@@ -36,7 +36,6 @@
 #include "core/sweep.hh"
 #include "stats/stats_json.hh"
 #include "trace/generator.hh"
-#include "trace/lock_detector.hh"
 #include "trace/trace_cache.hh"
 #include "trace/trace_file_source.hh"
 #include "trace/trace_io.hh"
@@ -184,12 +183,36 @@ buildCases()
         }
     }
 
+    // ---- streamed SLE (wc3) and TM: lock roles ride the chunks ----
+    {
+        SimConfig tm = SimConfig::defaults();
+        tm.tm.enabled = true;
+        struct StreamCase
+        {
+            const char *name;
+            SimConfig cfg;
+            std::vector<uint64_t> chunks;
+        };
+        const StreamCase lock_cases[] = {
+            {"wc3", SimConfig::wc3(), {0, 1, 7777}},
+            {"tm", tm, {1, 7777}},
+        };
+        for (const StreamCase &sc : lock_cases) {
+            for (uint64_t chunk : sc.chunks) {
+                RunSpec spec = baseSpec(sc.cfg);
+                auto src = Runner::makeSource(spec, chunk);
+                std::string name = std::string("stream/") + sc.name +
+                    "_chunk" + std::to_string(chunk);
+                out[name] = hashRunOutput(Runner::run(spec, *src));
+            }
+        }
+    }
+
     // ---- on-disk v4 files (three chunk sizes, whole-trace reader,
     // chunk cache), direct simulator runs ----
     {
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 7);
         Trace trace = gen.generate(kWarmup + kMeasure);
-        LockAnalysis locks = LockDetector().analyze(trace);
         std::string base =
             ::testing::TempDir() + "hotloop_equiv_" +
             std::to_string(static_cast<unsigned>(::getpid()));
@@ -215,14 +238,14 @@ buildCases()
             // Materialized reference.
             {
                 ChipNode chip(HierarchyConfig{}, 0);
-                MlpSimulator sim(cfg, chip, &locks);
+                MlpSimulator sim(cfg, chip);
                 out[std::string("file/") + cfg.name + "_mat"] =
                     hashSimResult(sim.run(trace, kWarmup));
             }
             for (const FileCase &fc : fcs) {
                 StreamingFileSource src(fc.path);
                 ChipNode chip(HierarchyConfig{}, 0);
-                MlpSimulator sim(cfg, chip, &locks);
+                MlpSimulator sim(cfg, chip);
                 out[std::string("file/") + cfg.name + "_" + fc.tag] =
                     hashSimResult(sim.run(src, kWarmup));
             }
@@ -230,7 +253,7 @@ buildCases()
             {
                 Trace loaded = readTraceFile(fcs[0].path);
                 ChipNode chip(HierarchyConfig{}, 0);
-                MlpSimulator sim(cfg, chip, &locks);
+                MlpSimulator sim(cfg, chip);
                 out[std::string("file/") + cfg.name + "_v4_read"] =
                     hashSimResult(sim.run(loaded, kWarmup));
             }
@@ -239,7 +262,7 @@ buildCases()
                     std::make_unique<StreamingFileSource>(fcs[0].path),
                     cache);
                 ChipNode chip(HierarchyConfig{}, 0);
-                MlpSimulator sim(cfg, chip, &locks);
+                MlpSimulator sim(cfg, chip);
                 out[std::string("file/") + cfg.name + "_v4_cached"] =
                     hashSimResult(sim.run(src, kWarmup));
             }

@@ -560,10 +560,16 @@ TEST(EpochEngine, WcYoungerMissesWaitWithoutPrefetch)
 
 TEST(EpochEngine, SleRequiresLockAnalysis)
 {
+    // SLE reads lock roles from the stream; a cursor over a plain
+    // source (no LockRoleSource) carries none.
     SimConfig cfg = SimConfig::defaults();
     cfg.sle = true;
     ChipNode chip(HierarchyConfig{}, 0);
-    EXPECT_THROW(MlpSimulator(cfg, chip, nullptr),
+    MlpSimulator sim(cfg, chip);
+    Trace t = TraceBuilder().casa(0x100).store(0x100).build();
+    MaterializedSource src(t);
+    TraceCursor cur(src);
+    EXPECT_THROW(sim.process(cur, 0, t.size(), true),
                  std::invalid_argument);
 }
 
@@ -624,9 +630,8 @@ TEST(EpochEngine, EpochListenerStreamsCountedEpochs)
     Trace t = b.build();
 
     SimRig rig;
-    rig.locks = LockDetector().analyze(t);
     rig.warmFor(t);
-    MlpSimulator sim(SimConfig::defaults(), rig.chip, &rig.locks);
+    MlpSimulator sim(SimConfig::defaults(), rig.chip);
 
     std::vector<EpochRecord> seen;
     sim.setEpochListener([&](const EpochRecord &r) {
@@ -653,9 +658,8 @@ TEST(EpochEngine, EpochListenerSkipsQuietGenerations)
     Trace t = b.build();
 
     SimRig rig;
-    rig.locks = LockDetector().analyze(t);
     rig.warmFor(t);
-    MlpSimulator sim(SimConfig::defaults(), rig.chip, &rig.locks);
+    MlpSimulator sim(SimConfig::defaults(), rig.chip);
     uint64_t events = 0;
     sim.setEpochListener([&](const EpochRecord &) { ++events; });
     SimResult res = sim.run(t);

@@ -113,7 +113,7 @@ TEST(StreamingLockDetector, MatchesBatchAnalysis)
     LockAnalysis batch = LockDetector().analyze(trace);
 
     MaterializedSource src(trace);
-    LockAnalysis streamed = analyzeSource(src);
+    LockAnalysis streamed = test::stageAnalysis(src);
 
     ASSERT_EQ(streamed.roles.size(), batch.roles.size());
     for (size_t i = 0; i < batch.roles.size(); ++i)

@@ -30,62 +30,78 @@ lockTrace()
     return b.build();
 }
 
+/** `tm`'s action for record `idx`, tagged by the lock-role stage. */
+TransactionalMemory::Action
+classifyAt(const TransactionalMemory &tm, const StageTags &a, uint64_t idx)
+{
+    return tm.classify(a.role(idx), a.acquire(idx));
+}
+
+bool
+abortsAt(const TransactionalMemory &tm, const StageTags &a, uint64_t idx)
+{
+    return tm.abortsAt(a.role(idx), a.acquire(idx));
+}
+
 TEST(TransactionalMemory, DisabledClassifiesNormal)
 {
     Trace t = lockTrace();
-    LockAnalysis a = LockDetector().analyze(t);
+    StageTags a(t);
     TmConfig cfg; // enabled = false
-    TransactionalMemory tm(&a, cfg);
+    TransactionalMemory tm(cfg);
     EXPECT_FALSE(tm.enabled());
-    EXPECT_EQ(tm.classify(1), TransactionalMemory::Action::Normal);
-    EXPECT_FALSE(tm.peekElided(1));
+    EXPECT_EQ(classifyAt(tm, a, 1), TransactionalMemory::Action::Normal);
+    EXPECT_FALSE(tm.peekElided(a.role(1), a.acquire(1)));
 }
 
 TEST(TransactionalMemory, CommittingSectionElides)
 {
     Trace t = lockTrace();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis pairs = LockDetector().analyze(t);
+    StageTags a(t);
     TmConfig cfg;
     cfg.enabled = true;
     cfg.abortProb = 0.0; // every section commits
-    TransactionalMemory tm(&a, cfg);
-    EXPECT_EQ(tm.sections(), 1u);
-    EXPECT_EQ(tm.abortedSections(), 0u);
-    EXPECT_EQ(tm.classify(1),
+    TransactionalMemory tm(cfg);
+    ASSERT_EQ(pairs.pairs.size(), 1u);
+    EXPECT_TRUE(tm.commits(pairs.pairs[0].acquireIdx));
+    EXPECT_EQ(classifyAt(tm, a, 1),
               TransactionalMemory::Action::AcquireAsLoad);
-    EXPECT_EQ(tm.classify(3), TransactionalMemory::Action::Nop);
-    EXPECT_FALSE(tm.abortsAt(1));
+    EXPECT_EQ(classifyAt(tm, a, 3), TransactionalMemory::Action::Nop);
+    EXPECT_FALSE(abortsAt(tm, a, 1));
 }
 
 TEST(TransactionalMemory, AbortingSectionFallsBackToLock)
 {
     Trace t = lockTrace();
-    LockAnalysis a = LockDetector().analyze(t);
+    LockAnalysis pairs = LockDetector().analyze(t);
+    StageTags a(t);
     TmConfig cfg;
     cfg.enabled = true;
     cfg.abortProb = 1.0; // every section aborts
-    TransactionalMemory tm(&a, cfg);
-    EXPECT_EQ(tm.abortedSections(), 1u);
-    EXPECT_EQ(tm.classify(1), TransactionalMemory::Action::Normal);
-    EXPECT_EQ(tm.classify(3), TransactionalMemory::Action::Normal);
-    EXPECT_TRUE(tm.abortsAt(1));
-    EXPECT_FALSE(tm.abortsAt(3)); // only the acquire charges penalty
+    TransactionalMemory tm(cfg);
+    ASSERT_EQ(pairs.pairs.size(), 1u);
+    EXPECT_FALSE(tm.commits(pairs.pairs[0].acquireIdx));
+    EXPECT_EQ(classifyAt(tm, a, 1), TransactionalMemory::Action::Normal);
+    EXPECT_EQ(classifyAt(tm, a, 3), TransactionalMemory::Action::Normal);
+    EXPECT_TRUE(abortsAt(tm, a, 1));
+    EXPECT_FALSE(abortsAt(tm, a, 3)); // only the acquire charges penalty
 }
 
 TEST(TransactionalMemory, AbortDecisionDeterministic)
 {
     Trace t = lockTrace();
-    LockAnalysis a = LockDetector().analyze(t);
+    StageTags a(t);
     TmConfig cfg;
     cfg.enabled = true;
     cfg.abortProb = 0.5;
-    TransactionalMemory tm1(&a, cfg);
-    TransactionalMemory tm2(&a, cfg);
-    EXPECT_EQ(tm1.abortsAt(1), tm2.abortsAt(1));
+    TransactionalMemory tm1(cfg);
+    TransactionalMemory tm2(cfg);
+    EXPECT_EQ(abortsAt(tm1, a, 1), abortsAt(tm2, a, 1));
     cfg.seed = 999;
     // Different seeds may flip decisions, but stay internally stable.
-    TransactionalMemory tm3(&a, cfg);
-    EXPECT_EQ(tm3.abortsAt(1), tm3.abortsAt(1));
+    TransactionalMemory tm3(cfg);
+    EXPECT_EQ(abortsAt(tm3, a, 1), abortsAt(tm3, a, 1));
 }
 
 TEST(TransactionalMemory, ElidesWcIdiom)
@@ -99,17 +115,17 @@ TEST(TransactionalMemory, ElidesWcIdiom)
     b.lwsync();
     b.store(lock, 3);
     Trace t = b.build();
-    LockAnalysis a = LockDetector().analyze(t);
+    StageTags a(t);
     TmConfig cfg;
     cfg.enabled = true;
     cfg.abortProb = 0.0;
-    TransactionalMemory tm(&a, cfg);
-    EXPECT_EQ(tm.classify(0),
+    TransactionalMemory tm(cfg);
+    EXPECT_EQ(classifyAt(tm, a, 0),
               TransactionalMemory::Action::AcquireAsLoad);
-    EXPECT_EQ(tm.classify(1), TransactionalMemory::Action::Nop);
-    EXPECT_EQ(tm.classify(2), TransactionalMemory::Action::Nop);
-    EXPECT_EQ(tm.classify(4), TransactionalMemory::Action::Nop);
-    EXPECT_EQ(tm.classify(5), TransactionalMemory::Action::Nop);
+    EXPECT_EQ(classifyAt(tm, a, 1), TransactionalMemory::Action::Nop);
+    EXPECT_EQ(classifyAt(tm, a, 2), TransactionalMemory::Action::Nop);
+    EXPECT_EQ(classifyAt(tm, a, 4), TransactionalMemory::Action::Nop);
+    EXPECT_EQ(classifyAt(tm, a, 5), TransactionalMemory::Action::Nop);
 }
 
 // ---- engine integration ----
@@ -155,8 +171,7 @@ TEST(TmEngine, SleAndTmMutuallyExclusive)
     cfg.sle = true;
     cfg.tm.enabled = true;
     ChipNode chip(HierarchyConfig{}, 0);
-    LockAnalysis locks;
-    EXPECT_THROW(MlpSimulator(cfg, chip, &locks),
+    EXPECT_THROW(MlpSimulator(cfg, chip),
                  std::invalid_argument);
 }
 

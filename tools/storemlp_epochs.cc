@@ -18,7 +18,6 @@
 #include "core/mlp_sim.hh"
 #include "stats/stats_json.hh"
 #include "trace/generator.hh"
-#include "trace/lock_detector.hh"
 
 using namespace storemlp;
 using namespace storemlp::tools;
@@ -53,10 +52,9 @@ toolMain(int argc, char **argv)
 
     SyntheticTraceGenerator gen(profile, cli.num("seed", 42));
     Trace trace = gen.generate(warmup + 400 * 1000);
-    LockAnalysis locks = LockDetector().analyze(trace);
 
     ChipNode chip(HierarchyConfig{}, 0);
-    MlpSimulator sim(cfg, chip, &locks);
+    MlpSimulator sim(cfg, chip);
 
     OutFormat fmt = outFormat(cli);
     OutputSink sink(cli);

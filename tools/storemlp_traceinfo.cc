@@ -61,8 +61,7 @@ toolMain(int argc, char **argv)
     // Mix and lock analysis decode the stream, so they are opt-in;
     // the header probe above is the whole cost of the default report.
     Trace::Mix mix;
-    LockAnalysis locks;
-    uint64_t total_len = 0;
+    LockSummary locks;
     std::optional<StreamingFileSource> src;
     if (full || dump) {
         try {
@@ -73,8 +72,10 @@ toolMain(int argc, char **argv)
         }
     }
     if (full) {
+        // One pass: the mix is counted on the way through the
+        // lock-role stage.
         mix.total = info.records;
-        forEachRecord(*src, 0, info.records, [&](const TraceRecord &r) {
+        locks = scanLocks(*src, [&](const TraceRecord &r) {
             if (r.cls == InstClass::AtomicCas ||
                 r.cls == InstClass::StoreCond ||
                 r.cls == InstClass::LoadLocked) {
@@ -89,9 +90,6 @@ toolMain(int argc, char **argv)
             if (isBarrierClass(r.cls))
                 ++mix.barriers;
         });
-        locks = analyzeSource(*src);
-        for (const auto &p : locks.pairs)
-            total_len += p.releaseIdx - p.acquireIdx;
     }
 
     OutFormat fmt = outFormat(cli);
@@ -121,13 +119,12 @@ toolMain(int argc, char **argv)
             reg.counter("trace.branches", mix.branches);
             reg.counter("trace.atomics", mix.atomics);
             reg.counter("trace.barriers", mix.barriers);
-            reg.counter("trace.criticalSections", locks.pairs.size());
+            reg.counter("trace.criticalSections", locks.sections);
             reg.scalar("trace.meanCriticalSectionLen",
-                       locks.pairs.empty()
-                           ? 0.0
-                           : static_cast<double>(total_len) /
-                                 static_cast<double>(
-                                     locks.pairs.size()));
+                       locks.sections
+                           ? static_cast<double>(locks.totalLen) /
+                                 static_cast<double>(locks.sections)
+                           : 0.0);
         }
         if (fmt == OutFormat::Json)
             writeStatsJson(os, reg, meta, /*pretty=*/true);
@@ -166,11 +163,11 @@ toolMain(int argc, char **argv)
            << "atomics:  " << mix.atomics << "\n"
            << "barriers: " << mix.barriers << "\n";
 
-        os << "critical sections: " << locks.pairs.size() << "\n";
-        if (!locks.pairs.empty()) {
+        os << "critical sections: " << locks.sections << "\n";
+        if (locks.sections) {
             os << "mean critical-section length: "
-               << static_cast<double>(total_len) /
-                      static_cast<double>(locks.pairs.size())
+               << static_cast<double>(locks.totalLen) /
+                      static_cast<double>(locks.sections)
                << " instructions\n";
         }
     }
