@@ -79,8 +79,9 @@ epochEngineBench(benchmark::State &state, WorkloadProfile profile)
     cfg.cpiOnChip = profile.cpiOnChip;
     for (auto _ : state) {
         ChipNode chip(HierarchyConfig{}, 0);
+        MaterializedSource src(trace);
         MlpSimulator sim(cfg, chip);
-        SimResult res = sim.run(trace);
+        SimResult res = sim.run(src);
         benchmark::DoNotOptimize(res.epochs);
     }
     state.SetItemsProcessed(state.iterations() *
@@ -111,8 +112,9 @@ BM_EpochEngineScout_Database(benchmark::State &state)
     cfg.cpiOnChip = profile.cpiOnChip;
     for (auto _ : state) {
         ChipNode chip(HierarchyConfig{}, 0);
+        MaterializedSource src(trace);
         MlpSimulator sim(cfg, chip);
-        SimResult res = sim.run(trace);
+        SimResult res = sim.run(src);
         benchmark::DoNotOptimize(res.epochs);
     }
     state.SetItemsProcessed(state.iterations() *

@@ -63,7 +63,7 @@ main()
         cfg.storePrefetch = sp;
         cfg.cpiOnChip = profile.cpiOnChip;
         MlpSimulator sim(cfg, fresh);
-        SimResult res = sim.run(loaded, 100000);
+        SimResult res = sim.run(loaded_src, 100000);
         std::cout << storePrefetchName(sp) << ": "
                   << res.epochsPer1000() << " epochs/1000, store MLP "
                   << res.storeMlp() << ", overlapped stores "

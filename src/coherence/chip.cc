@@ -29,6 +29,19 @@ ChipNode::ChipNode(const HierarchyConfig &hier_config, uint32_t chip_id,
 }
 
 void
+ChipNode::prefillL2()
+{
+    constexpr uint64_t kPrefillBase = 0xF00000000000ULL;
+    constexpr uint64_t kPrefillStride = 0x001000000000ULL;
+    SetAssocCache &l2 = _hier.l2();
+    uint64_t line_bytes = l2.config().lineBytes;
+    uint64_t lines = l2.config().sizeBytes / line_bytes;
+    uint64_t base = kPrefillBase + _chipId * kPrefillStride;
+    for (uint64_t i = 0; i < lines; ++i)
+        l2.access(base + i * line_bytes, false);
+}
+
+void
 ChipNode::connect(SnoopBus *bus)
 {
     _bus = bus;

@@ -123,6 +123,14 @@ class ChipNode
     uint32_t chipId() const { return _chipId; }
     CoherenceProtocol protocol() const { return _protocol; }
 
+    /**
+     * Fill the L2 with clean placeholder lines from this chip's
+     * reserved region (0xF00000000000 + chipId * 0x001000000000) so
+     * real traffic immediately contends for capacity. Runs once
+     * before warmup (see RunSpec::prefillL2).
+     */
+    void prefillL2();
+
     /** Missing stores that skipped the invalidation penalty via SMAC. */
     uint64_t smacAcceleratedStores() const { return _smacAccelerated; }
     void resetStats();

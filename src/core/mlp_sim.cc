@@ -884,16 +884,6 @@ MlpSimulator::process(TraceCursor &cur, uint64_t begin, uint64_t end,
     }
 }
 
-void
-MlpSimulator::process(const Trace &trace, uint64_t begin, uint64_t end,
-                      bool collect)
-{
-    MaterializedSource src(trace);
-    std::optional<LockRoleSource> stage;
-    TraceCursor cur(engineInput(_cfg, src, stage));
-    process(cur, begin, std::min<uint64_t>(end, trace.size()), collect);
-}
-
 SimResult
 MlpSimulator::run(TraceSource &src, uint64_t warmup_insts)
 {
@@ -906,13 +896,6 @@ MlpSimulator::run(TraceSource &src, uint64_t warmup_insts)
     }
     process(cur, start, ~uint64_t{0}, true);
     return takeResult();
-}
-
-SimResult
-MlpSimulator::run(const Trace &trace, uint64_t warmup_insts)
-{
-    MaterializedSource src(trace);
-    return run(src, warmup_insts);
 }
 
 SimResult

@@ -90,21 +90,11 @@ class MlpSimulator
                  bool collect);
 
     /**
-     * Compatibility shim over the cursor path (adds the lock-role
-     * stage itself); behaviorally identical to pre-TraceSource
-     * releases. Slated for deletion — prefer the TraceCursor overload.
-     */
-    void process(const Trace &trace, uint64_t begin, uint64_t end,
-                 bool collect);
-
-    /**
      * Convenience: warmup then measure the rest of the stream, read
-     * through engineInput (so SLE/TM get their lock roles).
+     * through engineInput (so SLE/TM get their lock roles). An
+     * in-memory Trace runs as a MaterializedSource.
      */
     SimResult run(TraceSource &src, uint64_t warmup_insts = 0);
-
-    /** Compatibility shim; prefer the TraceSource overload. */
-    SimResult run(const Trace &trace, uint64_t warmup_insts = 0);
 
     /**
      * Next trace index the simulator will dispatch: where the last
@@ -291,7 +281,7 @@ class MlpSimulator
     /**
      * Branch-free in the common single-core case: a dead bool test
      * when no peer hook is installed. peerTick keeps the exact
-     * kPeerQuantum cadence dual-core determinism depends on.
+     * kPeerQuantum cadence the peer agents' determinism depends on.
      */
     void notePeerProgress()
     {

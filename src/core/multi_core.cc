@@ -72,17 +72,10 @@ MultiRunOutput::exportStats(StatsRegistry &reg) const
 namespace
 {
 
-// Runner::run's L2 prefill layout: clean placeholder lines from a
-// reserved per-chip region, so real traffic immediately contends for
-// capacity.
-constexpr uint64_t kPrefillBase = 0xF00000000000ULL;
-constexpr uint64_t kPrefillStride = 0x001000000000ULL;
-
 /**
  * Core i's record stream. Generator ids 0, 101, 102, ... place each
- * core's private store/load regions at disjoint addresses (matching
- * DualCoreRunner's 0/101 for the first two cores) while every core
- * shares the one global shared-store region — the source of
+ * core's private store/load regions at disjoint addresses while every
+ * core shares the one global shared-store region — the source of
  * cross-core invalidation traffic.
  */
 std::unique_ptr<TraceSource>
@@ -143,14 +136,8 @@ MultiCoreRunner::run(const MultiRunSpec &spec)
     }
 
     if (spec.prefillL2) {
-        for (uint32_t c = 0; c < m; ++c) {
-            SetAssocCache &l2 = chips[c]->hierarchy().l2();
-            uint64_t lines =
-                l2.config().sizeBytes / l2.config().lineBytes;
-            uint64_t base = kPrefillBase + c * kPrefillStride;
-            for (uint64_t i = 0; i < lines; ++i)
-                l2.access(base + i * l2.config().lineBytes, false);
-        }
+        for (auto &chip : chips)
+            chip->prefillL2();
     }
 
     SimConfig cfg = spec.config;

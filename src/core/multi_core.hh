@@ -2,13 +2,13 @@
  * @file
  * Multi-core contention runner: N full epoch engines spread across M
  * chips of the real SnoopBus. Where the standard Runner models remote
- * traffic with statistical peer agents and DualCoreRunner fixes the
- * machine at two cores on one chip, this runner *simulates* every
+ * traffic with statistical peer agents, this runner *simulates* every
  * core: each has its own streaming TraceCursor (no whole-trace
  * materialization), its own pipeline state, and shares only the
  * chip-level memory system — so cross-core invalidations, contended
  * locks, and shared SMAC capacity emerge from the simulated accesses
- * instead of being modeled.
+ * instead of being modeled. cores=2, chips=1 is the paper's chip,
+ * "two single-threaded cores sharing an L2 cache" (Section 4.3).
  *
  * Execution is deterministic quantum-interleaved: every core advances
  * `quantum` instructions per turn, in core-id order, over one shared

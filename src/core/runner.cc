@@ -115,18 +115,8 @@ Runner::run(const RunSpec &spec, TraceSource &source)
     }
 
     if (spec.prefillL2) {
-        // Fill each L2 with clean placeholder lines from a reserved
-        // region so real traffic immediately contends for capacity.
-        constexpr uint64_t kPrefillBase = 0xF00000000000ULL;
-        constexpr uint64_t kPrefillStride = 0x001000000000ULL;
-        for (uint32_t c = 0; c < spec.numChips; ++c) {
-            SetAssocCache &l2 = chips[c]->hierarchy().l2();
-            uint64_t lines =
-                l2.config().sizeBytes / l2.config().lineBytes;
-            uint64_t base = kPrefillBase + c * kPrefillStride;
-            for (uint64_t i = 0; i < lines; ++i)
-                l2.access(base + i * l2.config().lineBytes, false);
-        }
+        for (auto &chip : chips)
+            chip->prefillL2();
     }
 
     SimConfig cfg = spec.config;

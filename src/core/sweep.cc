@@ -79,16 +79,9 @@ SweepEngine::runOnce(const RunSpec &spec, const SweepOptions &opts,
                      bool *hit)
 {
     *hit = false;
-    if (opts.streaming && !opts.runOverride) {
-        // O(chunk) resident memory per worker. Chunk-level sharing
-        // happens inside the CachedSource, so the per-run `hit` flag
-        // stays false; hits are visible in the cache stats instead.
-        std::unique_ptr<TraceSource> src = Runner::makeSource(
-            spec, opts.chunkInsts,
-            opts.useTraceCache ? _cache : nullptr);
-        return Runner::run(spec, *src);
-    }
-    if (opts.useTraceCache && _cache) {
+    bool cached = opts.useTraceCache && _cache;
+    if (cached && (!opts.streaming || opts.runOverride)) {
+        // Runs share whole traces (runOverride is Trace-shaped).
         std::shared_ptr<const Trace> trace = _cache->getOrBuild(
             Runner::traceCacheKey(spec),
             [&spec] { return Runner::buildTrace(spec); }, hit);
@@ -99,9 +92,12 @@ SweepEngine::runOnce(const RunSpec &spec, const SweepOptions &opts,
     }
     if (opts.runOverride)
         return opts.runOverride(spec, nullptr);
-    Trace trace = Runner::buildTrace(spec);
-    MaterializedSource src(trace);
-    return Runner::run(spec, src);
+    // O(chunk) resident memory per worker. A streaming run with the
+    // cache shares chunks inside the CachedSource, so the per-run
+    // `hit` flag stays false; hits show in the cache stats instead.
+    std::unique_ptr<TraceSource> src = Runner::makeSource(
+        spec, opts.chunkInsts, opts.streaming && cached ? _cache : nullptr);
+    return Runner::run(spec, *src);
 }
 
 std::vector<RunOutcome>

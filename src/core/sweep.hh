@@ -46,12 +46,12 @@ struct SweepOptions
     /** Share input traces across runs via the trace cache. */
     bool useTraceCache = true;
     /**
-     * Execute runs against a streaming source (Runner::makeSource)
-     * instead of a materialized whole trace: resident trace memory is
-     * O(chunk) per worker, and with the trace cache enabled workers
-     * share decoded *chunks* rather than whole traces. Results are
-     * bit-identical to the materialized path. `runOverride` always
-     * takes the materialized path (it is Trace-shaped).
+     * With the trace cache enabled, share *chunks* of streaming
+     * sources (Runner::makeSource) instead of whole materialized
+     * traces: resident trace memory is O(chunk) per worker. Without
+     * the cache every run streams its own source either way. Results
+     * are bit-identical on every path. `runOverride` always shares
+     * whole traces (it is Trace-shaped).
      */
     bool streaming = false;
     /** Chunk size (instructions) for streaming runs; 0 = default. */
@@ -73,7 +73,8 @@ struct SweepOptions
      * Test/fault-injection hook: when set, executes a run instead of
      * `Runner::run(spec, trace)`. Lets tests throw from the Nth run
      * (or return synthetic outputs) without touching the production
-     * path; null for normal operation.
+     * path; null for normal operation. The trace argument is the
+     * cached whole trace, or nullptr when the trace cache is off.
      */
     std::function<RunOutput(const RunSpec &, const Trace *)>
         runOverride;

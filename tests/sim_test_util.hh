@@ -96,16 +96,16 @@ class SimRig
     run(const Trace &trace, const SimConfig &cfg)
     {
         warmFor(trace);
-        MlpSimulator sim(cfg, chip);
-        return sim.run(trace);
+        return runCold(trace, cfg);
     }
 
     /** Run without warming (for cold-cache scenarios). */
     SimResult
     runCold(const Trace &trace, const SimConfig &cfg)
     {
+        MaterializedSource src(trace);
         MlpSimulator sim(cfg, chip);
-        return sim.run(trace);
+        return sim.run(src);
     }
 
     ChipNode chip;

@@ -212,16 +212,18 @@ TEST(EngineEdges, RerunAfterTakeResultContinues)
     SimRig rig;
     rig.warmFor(t1);
     MlpSimulator sim(SimConfig::defaults(), rig.chip);
-    sim.process(t1, 0, t1.size(), true);
+    MaterializedSource s1(t1), s2(t2);
+    TraceCursor c1(s1), c2(s2);
+    sim.process(c1, 0, t1.size(), true);
     SimResult first = sim.takeResult();
-    sim.process(t2, 0, t2.size(), true);
+    sim.process(c2, 0, t2.size(), true);
     SimResult both = sim.takeResult();
     EXPECT_GE(both.instructions, first.instructions + 100);
 }
 
 TEST(EngineEdges, ChunkedProcessingMatchesSingleRun)
 {
-    // The dual-core runner interleaves cores at a quantum; that is
+    // The multi-core runner interleaves cores at a quantum; that is
     // only sound if chunked process() calls are equivalent to one
     // continuous run for a single core.
     WorkloadProfile p = WorkloadProfile::testTiny();
@@ -231,10 +233,10 @@ TEST(EngineEdges, ChunkedProcessingMatchesSingleRun)
         ChipNode chip(HierarchyConfig{}, 0);
         SimConfig cfg = SimConfig::defaults();
         MlpSimulator sim(cfg, chip);
+        MaterializedSource src(t);
+        TraceCursor cur(src);
         for (uint64_t pos = 0; pos < t.size(); pos += chunk)
-            sim.process(t, pos, std::min<uint64_t>(pos + chunk,
-                                                   t.size()),
-                        true);
+            sim.process(cur, pos, pos + chunk, true);
         return sim.takeResult();
     };
 

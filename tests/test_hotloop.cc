@@ -15,7 +15,8 @@
  *
  * ONLY when a semantic change is intended and reviewed. The matrix
  * covers all shipped configs (PC1-PC3, WC1-WC3, scout, TM, SMAC,
- * multi-chip peer traffic, sibling core), materialized vs generator vs
+ * multi-chip peer traffic, sibling core), both cores of a two-core
+ * chip (MultiCoreRunner at N=2, M=1), materialized vs generator vs
  * on-disk v4 files, chunk sizes 1 / non-divisor / default, and
  * jobs=1 vs jobs=4 sweeps.
  */
@@ -23,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -32,15 +32,16 @@
 
 #include "coherence/chip.hh"
 #include "core/mlp_sim.hh"
+#include "core/multi_core.hh"
 #include "core/runner.hh"
 #include "core/sweep.hh"
-#include "stats/stats_json.hh"
 #include "trace/generator.hh"
 #include "trace/trace_cache.hh"
 #include "trace/trace_file_source.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
 #include "sim_test_util.hh"
+#include "stats_hash.hh"
 
 using namespace storemlp;
 
@@ -50,54 +51,8 @@ namespace
 constexpr uint64_t kWarmup = 20000;
 constexpr uint64_t kMeasure = 40000;
 
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-/**
- * Hash a registry as its serialized document, with the envelope's
- * schemaVersion pinned to 1: the goldens were recorded before the v2
- * envelope existed, and the version token is presentation, not
- * simulation — pinning it keeps the pre-optimization anchors valid
- * across schema bumps.
- */
-std::string
-hashRegistry(const StatsRegistry &reg)
-{
-    std::string doc = statsToJson(reg, StatsMeta{}, false);
-    const std::string tag =
-        "\"schemaVersion\":" + std::to_string(kStatsSchemaVersion);
-    size_t pos = doc.find(tag);
-    if (pos != std::string::npos)
-        doc.replace(pos, tag.size(), "\"schemaVersion\":1");
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(doc)));
-    return buf;
-}
-
-std::string
-hashRunOutput(const RunOutput &out)
-{
-    StatsRegistry reg;
-    out.exportStats(reg);
-    return hashRegistry(reg);
-}
-
-std::string
-hashSimResult(const SimResult &res)
-{
-    StatsRegistry reg;
-    res.exportStats(reg);
-    return hashRegistry(reg);
-}
+using test::hashRunOutput;
+using test::hashSimResult;
 
 RunSpec
 baseSpec(SimConfig cfg)
@@ -208,6 +163,44 @@ buildCases()
         }
     }
 
+    // ---- two full cores sharing one chip's L2 (the paper's Section
+    // 4.3 chip), per core: MultiCoreRunner at N=2, M=1 ----
+    {
+        struct MultiCase
+        {
+            const char *name;
+            SimConfig cfg;
+            uint64_t quantum;
+        };
+        const MultiCase multi_cases[] = {
+            {"pc1", SimConfig::defaults(), 256},
+            {"wc1", SimConfig::wc1(), 256},
+            {"pc3", SimConfig::pc3(), 256},
+            {"wc3", SimConfig::wc3(), 256},
+            {"pc1_sp2",
+             SimConfig::defaults().withPrefetch(StorePrefetch::AtExecute),
+             256},
+            // A second quantum; like 256, it does not divide the
+            // warmup, so a turn straddles the warmup boundary.
+            {"pc1_q192", SimConfig::defaults(), 192},
+        };
+        for (const MultiCase &mc : multi_cases) {
+            MultiRunSpec spec;
+            spec.profile = WorkloadProfile::database();
+            spec.config = mc.cfg;
+            spec.warmupInsts = kWarmup;
+            spec.measureInsts = kMeasure;
+            spec.quantum = mc.quantum;
+            spec.cores = 2;
+            spec.chips = 1;
+            MultiRunOutput multi = MultiCoreRunner::run(spec);
+            for (size_t c = 0; c < multi.cores.size(); ++c) {
+                out[std::string("multi/n2m1_") + mc.name + "_core" +
+                    std::to_string(c)] = hashSimResult(multi.cores[c]);
+            }
+        }
+    }
+
     // ---- on-disk v4 files (three chunk sizes, whole-trace reader,
     // chunk cache), direct simulator runs ----
     {
@@ -237,10 +230,11 @@ buildCases()
         for (const SimConfig &cfg : cfgs) {
             // Materialized reference.
             {
+                MaterializedSource src(trace);
                 ChipNode chip(HierarchyConfig{}, 0);
                 MlpSimulator sim(cfg, chip);
                 out[std::string("file/") + cfg.name + "_mat"] =
-                    hashSimResult(sim.run(trace, kWarmup));
+                    hashSimResult(sim.run(src, kWarmup));
             }
             for (const FileCase &fc : fcs) {
                 StreamingFileSource src(fc.path);
@@ -252,10 +246,11 @@ buildCases()
             // The whole-trace reader and the chunk-cache path.
             {
                 Trace loaded = readTraceFile(fcs[0].path);
+                MaterializedSource src(loaded);
                 ChipNode chip(HierarchyConfig{}, 0);
                 MlpSimulator sim(cfg, chip);
                 out[std::string("file/") + cfg.name + "_v4_read"] =
-                    hashSimResult(sim.run(loaded, kWarmup));
+                    hashSimResult(sim.run(src, kWarmup));
             }
             {
                 CachedSource src(

@@ -637,7 +637,8 @@ TEST(EpochEngine, EpochListenerStreamsCountedEpochs)
     sim.setEpochListener([&](const EpochRecord &r) {
         seen.push_back(r);
     });
-    SimResult res = sim.run(t);
+    MaterializedSource src(t);
+    SimResult res = sim.run(src);
 
     ASSERT_EQ(seen.size(), res.epochs);
     ASSERT_EQ(seen.size(), 2u);
@@ -662,7 +663,8 @@ TEST(EpochEngine, EpochListenerSkipsQuietGenerations)
     MlpSimulator sim(SimConfig::defaults(), rig.chip);
     uint64_t events = 0;
     sim.setEpochListener([&](const EpochRecord &) { ++events; });
-    SimResult res = sim.run(t);
+    MaterializedSource src(t);
+    SimResult res = sim.run(src);
     EXPECT_EQ(res.epochs, 0u);
     EXPECT_EQ(events, 0u);
 }

@@ -98,7 +98,7 @@ class Cli
             } else if (!spec->arg.empty()) {
                 if (eq != std::string::npos) {
                     _args[key] = body.substr(eq + 1);
-                } else if (i + 1 < argc) {
+                } else if (i + 1 < argc && !isFlag(argv[i + 1])) {
                     _args[key] = argv[++i];
                 } else {
                     fail("--" + key + " requires a value (" +
@@ -189,6 +189,21 @@ class Cli
     }
 
   private:
+    /**
+     * `tok` spells one of this tool's flags (`--key` or
+     * `--key=value`): a value-taking flag never consumes it, so
+     * `--out --format=json` or an empty `--port $(cat f)` is a usage
+     * error instead of a silently misread command line.
+     */
+    bool
+    isFlag(const std::string &tok) const
+    {
+        if (tok.rfind("--", 0) != 0)
+            return false;
+        std::string key = tok.substr(2, tok.find('=') - 2);
+        return key == "help" || find(key);
+    }
+
     const FlagSpec *
     find(const std::string &key) const
     {

@@ -17,7 +17,7 @@
 #include "core/epoch_log.hh"
 #include "core/mlp_sim.hh"
 #include "stats/stats_json.hh"
-#include "trace/generator.hh"
+#include "trace/trace_source.hh"
 
 using namespace storemlp;
 using namespace storemlp::tools;
@@ -50,8 +50,8 @@ toolMain(int argc, char **argv)
         cfg.storePrefetch = StorePrefetch::AtExecute;
     cfg.cpiOnChip = profile.cpiOnChip;
 
-    SyntheticTraceGenerator gen(profile, cli.num("seed", 42));
-    Trace trace = gen.generate(warmup + 400 * 1000);
+    GeneratorSource src(profile, cli.num("seed", 42),
+                        warmup + 400 * 1000);
 
     ChipNode chip(HierarchyConfig{}, 0);
     MlpSimulator sim(cfg, chip);
@@ -110,9 +110,7 @@ toolMain(int argc, char **argv)
         ++printed;
     });
 
-    sim.process(trace, 0, warmup, false);
-    sim.process(trace, warmup, trace.size(), true);
-    SimResult res = sim.takeResult();
+    SimResult res = sim.run(src, warmup);
 
     if (fmt == OutFormat::Json) {
         StatsMeta meta = {

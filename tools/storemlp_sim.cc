@@ -76,9 +76,6 @@ toolMain(int argc, char **argv)
         {"trace", "PATH",
          "simulate an on-disk trace file (streamed in chunks;\n"
          "the file must already reflect --model)"},
-        {"stream", "",
-         "synthesize the trace chunk-by-chunk instead of\n"
-         "materializing it (O(chunk) trace memory)"},
         kChunkInstsFlag,
         kFormatFlag, kOutFlag,
     });
@@ -204,7 +201,7 @@ toolMain(int argc, char **argv)
         // bus. The statistical remote-traffic machinery (--peers,
         // --sibling) and on-disk traces don't apply here.
         for (const char *bad : {"peers", "sibling", "trace",
-                                "epoch-log", "stream"}) {
+                                "epoch-log"}) {
             if (cli.has(bad)) {
                 cli.fail(std::string("--") + bad +
                          " cannot be combined with --cores");
@@ -289,22 +286,17 @@ toolMain(int argc, char **argv)
         spec.epochLog = &epoch_ofs;
     }
 
-    uint64_t chunk = cli.num("chunk-insts", 0);
-    RunOutput out;
+    // Either input streams chunk by chunk: an on-disk file is
+    // mmap-backed and decoded per chunk, a synthetic trace is
+    // generated per chunk. A 50M-instruction run stays in O(chunk)
+    // resident trace memory.
+    std::unique_ptr<TraceSource> src;
     if (cli.has("trace")) {
-        // On-disk input: mmap-backed, decoded chunk by chunk — a
-        // 50M-instruction trace runs in O(chunk) resident memory.
-        StreamingFileSource src(cli.str("trace", ""));
-        out = Runner::run(spec, src);
-    } else if (cli.flag("stream") || chunk) {
-        std::unique_ptr<TraceSource> src =
-            Runner::makeSource(spec, chunk);
-        out = Runner::run(spec, *src);
+        src = std::make_unique<StreamingFileSource>(cli.str("trace", ""));
     } else {
-        Trace trace = Runner::buildTrace(spec);
-        MaterializedSource src(trace);
-        out = Runner::run(spec, src);
+        src = Runner::makeSource(spec, cli.num("chunk-insts", 0));
     }
+    RunOutput out = Runner::run(spec, *src);
 
     OutFormat fmt = outFormat(cli);
     OutputSink sink(cli);

@@ -307,7 +307,8 @@ toolMain(int argc, char **argv)
         {"lock-prob", "F",
          "lock-density override for --cores runs"},
         kJobsFlag,
-        {"no-trace-cache", "", "rebuild the trace for every run"},
+        {"no-trace-cache", "",
+         "regenerate the trace for every run (streamed)"},
         {"epoch-log", "DIR",
          "write one JSON-lines epoch trace per run into DIR"},
         kFormatFlag, kOutFlag,
