@@ -30,8 +30,6 @@ struct BenchIo
     std::optional<uint64_t> warmupOverride;
     std::optional<uint64_t> measureOverride;
     unsigned jobs = 0;
-    bool streaming = false;
-    uint64_t chunkInsts = 0;
 };
 
 BenchIo &
@@ -64,10 +62,6 @@ benchInit(int argc, char **argv, const char *tool)
     tools::Cli cli(argc, argv, {
         tools::kFormatFlag, tools::kOutFlag,
         tools::kJobsFlag, tools::kWarmupFlag, tools::kMeasureFlag,
-        {"stream", "",
-         "run against streaming trace sources (O(chunk) trace\n"
-         "memory per worker)"},
-        tools::kChunkInstsFlag,
     });
     io().fmt = tools::outFormat(cli);
     if (cli.has("out")) {
@@ -85,8 +79,6 @@ benchInit(int argc, char **argv, const char *tool)
         io().measureOverride = cli.num("measure", 0);
     if (cli.has("jobs"))
         io().jobs = static_cast<unsigned>(cli.num("jobs", 0));
-    io().streaming = cli.flag("stream") || cli.has("chunk-insts");
-    io().chunkInsts = cli.num("chunk-insts", 0);
 }
 
 tools::OutFormat
@@ -146,8 +138,6 @@ sweepEngine()
     static SweepEngine engine([] {
         SweepOptions opts;
         opts.jobs = io().jobs;
-        opts.streaming = io().streaming;
-        opts.chunkInsts = io().chunkInsts;
         return opts;
     }());
     return engine;

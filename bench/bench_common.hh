@@ -30,9 +30,9 @@ namespace storemlp::bench
 
 /**
  * Parse the shared bench flags (--format, --out, --jobs, --warmup,
- * --measure, --stream, --chunk-insts, --help); call first in every
- * bench main. `tool` names the binary in JSON artifact metadata.
- * Flags override the corresponding STOREMLP_* environment knobs.
+ * --measure, --help); call first in every bench main. `tool` names
+ * the binary in JSON artifact metadata. Flags override the
+ * corresponding STOREMLP_* environment knobs.
  * Without this call the bench behaves as before (text to stdout).
  */
 void benchInit(int argc, char **argv, const char *tool);

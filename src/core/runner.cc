@@ -66,21 +66,13 @@ Runner::traceCacheKey(const RunSpec &spec)
 }
 
 std::unique_ptr<TraceSource>
-Runner::makeSource(const RunSpec &spec, uint64_t chunk_insts,
-                   TraceCache *chunk_cache)
+Runner::makeSource(const RunSpec &spec, uint64_t chunk_insts)
 {
     std::unique_ptr<TraceSource> src = std::make_unique<GeneratorSource>(
         spec.profile, spec.seed,
         spec.warmupInsts + spec.measureInsts, 0, chunk_insts);
     if (spec.config.memoryModel.wcTraceRewrite())
         src = std::make_unique<WcRewriteSource>(std::move(src));
-    if (chunk_cache) {
-        std::string key = traceCacheKey(spec) +
-            "|chunk=" + std::to_string(src->chunkInsts());
-        src = std::make_unique<CachedSource>(std::move(src),
-                                             *chunk_cache,
-                                             std::move(key));
-    }
     return src;
 }
 

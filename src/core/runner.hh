@@ -156,13 +156,10 @@ class Runner
      * Streaming equivalent of buildTrace: compose the spec's stream
      * (generator, then PC->WC rewrite when the spec uses weak
      * consistency) without materializing it. `chunk_insts` 0 means
-     * the default chunk size. With `chunk_cache`, the composed source
-     * is fronted by a CachedSource keyed off traceCacheKey(spec) so
-     * concurrent sweep workers share chunk production.
+     * the default chunk size.
      */
     static std::unique_ptr<TraceSource>
-    makeSource(const RunSpec &spec, uint64_t chunk_insts = 0,
-               TraceCache *chunk_cache = nullptr);
+    makeSource(const RunSpec &spec, uint64_t chunk_insts = 0);
 
     /**
      * Cache key identifying `buildTrace(spec)`'s output: everything

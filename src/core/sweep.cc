@@ -79,9 +79,7 @@ SweepEngine::runOnce(const RunSpec &spec, const SweepOptions &opts,
                      bool *hit)
 {
     *hit = false;
-    bool cached = opts.useTraceCache && _cache;
-    if (cached && (!opts.streaming || opts.runOverride)) {
-        // Runs share whole traces (runOverride is Trace-shaped).
+    if (opts.useTraceCache && _cache) {
         std::shared_ptr<const Trace> trace = _cache->getOrBuild(
             Runner::traceCacheKey(spec),
             [&spec] { return Runner::buildTrace(spec); }, hit);
@@ -92,11 +90,8 @@ SweepEngine::runOnce(const RunSpec &spec, const SweepOptions &opts,
     }
     if (opts.runOverride)
         return opts.runOverride(spec, nullptr);
-    // O(chunk) resident memory per worker. A streaming run with the
-    // cache shares chunks inside the CachedSource, so the per-run
-    // `hit` flag stays false; hits show in the cache stats instead.
-    std::unique_ptr<TraceSource> src = Runner::makeSource(
-        spec, opts.chunkInsts, opts.streaming && cached ? _cache : nullptr);
+    // O(chunk) resident memory per worker.
+    std::unique_ptr<TraceSource> src = Runner::makeSource(spec);
     return Runner::run(spec, *src);
 }
 

@@ -43,19 +43,14 @@ struct SweepOptions
 {
     /** Worker threads; 0 = STOREMLP_JOBS, else hardware_concurrency. */
     unsigned jobs = 0;
-    /** Share input traces across runs via the trace cache. */
-    bool useTraceCache = true;
     /**
-     * With the trace cache enabled, share *chunks* of streaming
-     * sources (Runner::makeSource) instead of whole materialized
-     * traces: resident trace memory is O(chunk) per worker. Without
-     * the cache every run streams its own source either way. Results
-     * are bit-identical on every path. `runOverride` always shares
-     * whole traces (it is Trace-shaped).
+     * Share whole input traces across runs via the trace cache. When
+     * false (or without a cache) every run streams its own
+     * `Runner::makeSource(spec)` at the default chunk size: O(chunk)
+     * trace memory per run, but each run generates its own input.
+     * Results are bit-identical either way.
      */
-    bool streaming = false;
-    /** Chunk size (instructions) for streaming runs; 0 = default. */
-    uint64_t chunkInsts = 0;
+    bool useTraceCache = true;
     /**
      * Attempts per run (>= 1). Values above 1 retry a throwing run —
      * bounded containment for transient failures (a cache build that
@@ -71,10 +66,11 @@ struct SweepOptions
     bool progress = progressFromEnv();
     /**
      * Test/fault-injection hook: when set, executes a run instead of
-     * `Runner::run(spec, trace)`. Lets tests throw from the Nth run
-     * (or return synthetic outputs) without touching the production
-     * path; null for normal operation. The trace argument is the
-     * cached whole trace, or nullptr when the trace cache is off.
+     * `Runner::run`. Lets tests throw from the Nth run (or return
+     * synthetic outputs) without touching the production path; null
+     * for normal operation. The trace argument is the cached whole
+     * trace (lanes derived), or nullptr when `useTraceCache` is off;
+     * the engine then builds no input for the run.
      */
     std::function<RunOutput(const RunSpec &, const Trace *)>
         runOverride;
@@ -159,9 +155,9 @@ class SweepEngine
     /**
      * Execute a serializable request: expands the axis cross-product
      * (throws ConfigError on a malformed request, before any run
-     * starts) and applies the request's execution options (retries,
-     * streaming, chunk size) for this batch. The daemon, the local
-     * sweep tool and in-process callers all submit through here.
+     * starts) and applies the request's execution options (retries)
+     * for this batch. The daemon, the local sweep tool and in-process
+     * callers all submit through here.
      */
     std::vector<RunOutcome> execute(const SweepRequest &request,
                                     const RunObserver &observer = {});

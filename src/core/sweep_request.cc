@@ -182,8 +182,6 @@ void
 applyRequestOptions(SweepOptions &opts, const SweepRequest &req)
 {
     opts.maxAttempts = 1 + req.retries;
-    opts.streaming = req.streaming;
-    opts.chunkInsts = req.chunkInsts;
 }
 
 // ---------------------------------------------------------------------
@@ -201,8 +199,6 @@ saveSweepRequest(std::ostream &os, const SweepRequest &req)
     os << "measure = " << req.measureInsts << "\n";
     os << "seed = " << req.seed << "\n";
     os << "retries = " << req.retries << "\n";
-    os << "streaming = " << (req.streaming ? "true" : "false") << "\n";
-    os << "chunkInsts = " << req.chunkInsts << "\n";
     if (!req.runFilter.empty())
         os << "runs = " << joinList(req.runFilter, ';') << "\n";
     for (const SweepConfigEntry &entry : req.configs) {
@@ -286,17 +282,6 @@ loadSweepRequest(std::istream &is)
         } else if (key == "retries") {
             req.retries =
                 static_cast<unsigned>(parseU64Field(key, value));
-        } else if (key == "streaming") {
-            if (value == "true" || value == "1")
-                req.streaming = true;
-            else if (value == "false" || value == "0")
-                req.streaming = false;
-            else
-                throw ConfigError(
-                    "sweep request: bad boolean for 'streaming': " +
-                    value);
-        } else if (key == "chunkInsts") {
-            req.chunkInsts = parseU64Field(key, value);
         } else if (key == "runs") {
             req.runFilter = splitList(value, ';');
         } else {

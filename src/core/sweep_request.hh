@@ -69,10 +69,6 @@ struct SweepRequest
 
     /** Extra attempts per failing run (at-least-once shard retry). */
     unsigned retries = 0;
-    /** Execute against streaming sources (O(chunk) trace memory). */
-    bool streaming = false;
-    /** Streaming chunk size in instructions; 0 = default. */
-    uint64_t chunkInsts = 0;
 
     /**
      * When non-empty, only the expanded runs with these names execute

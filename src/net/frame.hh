@@ -33,8 +33,11 @@ class NetError : public SimError
     explicit NetError(const std::string &what) : SimError(what) {}
 };
 
-/** Version negotiated in HELLO/HELLO_ACK. */
-constexpr uint32_t kProtocolVersion = 1;
+/**
+ * Version negotiated in HELLO/HELLO_ACK. 2: the request text has no
+ * `streaming`/`chunkInsts` keys, which a v1 client always sends.
+ */
+constexpr uint32_t kProtocolVersion = 2;
 
 /** Upper bound on `length`; larger prefixes are rejected unread. */
 constexpr uint32_t kMaxFrameBytes = 64u * 1024 * 1024;

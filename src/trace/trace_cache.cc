@@ -5,10 +5,8 @@
 
 #include "trace/trace_cache.hh"
 
-#include <tuple>
 #include <utility>
 
-#include "trace/trace_source.hh"
 #include "util/parse.hh"
 
 namespace storemlp
@@ -37,38 +35,8 @@ std::shared_ptr<const Trace>
 TraceCache::getOrBuild(const std::string &key, const Builder &build,
                        bool *was_hit)
 {
-    std::shared_ptr<const void> v = getOrBuildErased(
-        key,
-        [&]() -> std::pair<std::shared_ptr<const void>, uint64_t> {
-            auto trace = std::make_shared<const Trace>(build());
-            uint64_t bytes = trace->size() * sizeof(TraceRecord);
-            return {std::move(trace), bytes};
-        },
-        was_hit);
-    return std::static_pointer_cast<const Trace>(v);
-}
-
-std::shared_ptr<const TraceChunk>
-TraceCache::getOrBuildChunk(const std::string &key,
-                            const ChunkBuilder &build, bool *was_hit)
-{
-    std::shared_ptr<const void> v = getOrBuildErased(
-        key,
-        [&]() -> std::pair<std::shared_ptr<const void>, uint64_t> {
-            std::shared_ptr<const TraceChunk> chunk = build();
-            uint64_t bytes = chunk->bytes();
-            return {std::move(chunk), bytes};
-        },
-        was_hit);
-    return std::static_pointer_cast<const TraceChunk>(v);
-}
-
-std::shared_ptr<const void>
-TraceCache::getOrBuildErased(const std::string &key,
-                             const ErasedBuilder &build, bool *was_hit)
-{
-    std::shared_future<std::shared_ptr<const void>> fut;
-    std::promise<std::shared_ptr<const void>> promise;
+    std::shared_future<std::shared_ptr<const Trace>> fut;
+    std::promise<std::shared_ptr<const Trace>> promise;
     bool builder = false;
 
     {
@@ -95,11 +63,13 @@ TraceCache::getOrBuildErased(const std::string &key,
     if (!builder)
         return fut.get(); // blocks while the first builder works
 
-    // Build outside the lock so other keys proceed concurrently.
-    std::shared_ptr<const void> value;
-    uint64_t payload_bytes = 0;
+    // Build outside the lock so other keys proceed concurrently. The
+    // lanes are derived here, once, before any reader can see the
+    // trace.
+    std::shared_ptr<const Trace> trace;
     try {
-        std::tie(value, payload_bytes) = build();
+        trace = std::make_shared<const Trace>(build());
+        trace->lanes();
     } catch (...) {
         promise.set_exception(std::current_exception());
         std::lock_guard<std::mutex> lk(_mu);
@@ -110,16 +80,16 @@ TraceCache::getOrBuildErased(const std::string &key,
         }
         throw;
     }
-    promise.set_value(value);
+    promise.set_value(trace);
 
     std::lock_guard<std::mutex> lk(_mu);
     auto it = _entries.find(key);
     if (it != _entries.end()) {
-        it->second.bytes = payload_bytes + key.size();
+        it->second.bytes = trace->size() * kEntryBytesPerRecord + key.size();
         _stats.bytes += it->second.bytes;
         evictLocked();
     }
-    return value;
+    return trace;
 }
 
 void

@@ -8,11 +8,9 @@
  * same key block on the first builder — and hands out shared immutable
  * references, so worker threads never copy or mutate trace data.
  *
- * Two entry kinds share one keyed store and one byte budget: whole
- * traces (`getOrBuild`, the materialized path) and decoded streaming
- * chunks (`getOrBuildChunk`, keyed fingerprint + "#c" + chunk index by
- * CachedSource) so parallel sweep workers share chunk decodes the way
- * they share whole traces.
+ * An entry is a whole trace together with its SoA lanes: the fill
+ * derives `Trace::lanes()` before it publishes the entry, so workers
+ * never race to derive them, and the byte budget counts both.
  */
 
 #ifndef STOREMLP_TRACE_TRACE_CACHE_HH
@@ -38,7 +36,7 @@ struct TraceCacheStats
     uint64_t hits = 0;       ///< lookups served from an existing entry
     uint64_t misses = 0;     ///< lookups that triggered a build
     uint64_t evictions = 0;  ///< entries dropped by the byte budget
-    uint64_t bytes = 0;      ///< resident trace bytes (approximate)
+    uint64_t bytes = 0;      ///< resident records + lanes + keys
 };
 
 /**
@@ -49,13 +47,17 @@ struct TraceCacheStats
  * budget (`STOREMLP_TRACE_CACHE_MB`, default 2048) is exceeded;
  * outstanding shared_ptrs keep evicted traces alive until released.
  */
-class TraceChunk;
-
 class TraceCache
 {
   public:
     using Builder = std::function<Trace()>;
-    using ChunkBuilder = std::function<std::shared_ptr<const TraceChunk>()>;
+
+    /** Bytes one cached record costs: the record plus its lanes. */
+    static constexpr uint64_t kEntryBytesPerRecord = sizeof(TraceRecord) +
+        sizeof(decltype(TraceLanes::pc)::value_type) +
+        sizeof(decltype(TraceLanes::addr)::value_type) +
+        sizeof(decltype(TraceLanes::cls)::value_type) +
+        sizeof(decltype(TraceLanes::meta)::value_type);
 
     explicit TraceCache(uint64_t max_bytes = defaultMaxBytes());
 
@@ -64,19 +66,11 @@ class TraceCache
      * first request. Concurrent callers with the same key wait for
      * the in-flight build instead of duplicating it. If `was_hit` is
      * non-null it reports whether this call found an existing entry.
+     * The returned trace's lanes are already derived.
      */
     std::shared_ptr<const Trace> getOrBuild(const std::string &key,
                                             const Builder &build,
                                             bool *was_hit = nullptr);
-
-    /**
-     * Same contract for one decoded chunk of a streaming source. The
-     * builder must not return nullptr — CachedSource encodes
-     * end-of-stream as an empty chunk so the length itself is cached.
-     */
-    std::shared_ptr<const TraceChunk>
-    getOrBuildChunk(const std::string &key, const ChunkBuilder &build,
-                    bool *was_hit = nullptr);
 
     /** Drop every completed entry (in-flight builds finish normally). */
     void clear();
@@ -91,22 +85,12 @@ class TraceCache
     static TraceCache &global();
 
   private:
-    // Entries are type-erased so traces and chunks share one LRU and
-    // one byte budget; the typed getOrBuild* fronts restore the type.
     struct Entry
     {
-        std::shared_future<std::shared_ptr<const void>> future;
+        std::shared_future<std::shared_ptr<const Trace>> future;
         uint64_t bytes = 0;                ///< 0 until the build lands
         std::list<std::string>::iterator lruIt;
     };
-
-    /** Builder returns (value, payload bytes); key bytes are added. */
-    using ErasedBuilder =
-        std::function<std::pair<std::shared_ptr<const void>, uint64_t>()>;
-
-    std::shared_ptr<const void>
-    getOrBuildErased(const std::string &key, const ErasedBuilder &build,
-                     bool *was_hit);
 
     void touchLocked(Entry &entry, const std::string &key);
     void evictLocked();

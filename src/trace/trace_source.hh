@@ -15,9 +15,6 @@
  *                       chunk (trace_file_source.hh).
  *   WcRewriteSource     streaming PC->WC rewrite of an inner source
  *                       (rewriter.hh).
- *   CachedSource        routes chunk construction through a shared
- *                       TraceCache keyed by (fingerprint, chunk index)
- *                       so parallel sweep workers share chunk decodes.
  *   LockRoleSource      re-serves an inner source's chunks, records
  *                       and lanes borrowed, with the lock-role lanes
  *                       SLE/TM read (lock_detector.hh).
@@ -41,7 +38,6 @@
 
 #include "trace/generator.hh"
 #include "trace/trace.hh"
-#include "trace/trace_cache.hh"
 
 namespace storemlp
 {
@@ -112,9 +108,6 @@ class TraceChunk
     const TraceRecord *data = nullptr;
     uint64_t count = 0;
 
-    /** Approximate resident bytes (used for cache accounting). */
-    uint64_t bytes() const { return count * sizeof(TraceRecord); }
-
     /**
      * Pointers to this chunk's SoA lanes (see TraceLanes), so the
      * engine's record fetch and the scout's lookahead scan are linear
@@ -134,8 +127,7 @@ class TraceChunk
 
     /**
      * Lanes for this chunk: a borrowed slice when the creator supplied
-     * one, otherwise derived once on first use (thread-safe: chunks
-     * are shared across sweep workers via TraceCache).
+     * one, otherwise derived once on first use.
      */
     LaneRefs lanes() const;
 
@@ -165,8 +157,8 @@ class TraceChunk
  *    fetch by restarting from scratch — correct, but O(n); random-
  *    access sources (materialized, file) fetch any chunk in O(chunk).
  *
- * Implementations are single-threaded; wrap in CachedSource (which
- * serializes inner fetches) to share one source across sweep workers.
+ * Implementations are single-threaded: each consumer (a sweep run,
+ * a core of a multi-core run) owns its source.
  */
 class TraceSource
 {
@@ -187,9 +179,9 @@ class TraceSource
     virtual std::optional<uint64_t> knownSize() const = 0;
 
     /**
-     * Identity of the record stream for chunk caching: everything that
-     * determines the bytes (profile fingerprint, seed, length,
-     * rewrite). Empty means "not cacheable".
+     * Identity of the record stream: everything that determines the
+     * bytes (profile fingerprint, seed, length, rewrite). Empty means
+     * "unknown".
      */
     virtual std::string fingerprint() const { return {}; }
 
@@ -331,8 +323,7 @@ class MaterializedSource : public TraceSource
  * including the generator's stop-at-slot-boundary overshoot — without
  * ever materializing it: generation proceeds one chunk ahead of the
  * consumer with O(chunk) carried state. Backward fetches restart the
- * generator from the seed (deterministic, O(n)); front a CachedSource
- * when revisiting chunks matters.
+ * generator from the seed (deterministic, O(n)).
  */
 class GeneratorSource : public TraceSource
 {
@@ -361,32 +352,6 @@ class GeneratorSource : public TraceSource
     uint64_t _emitted = 0;             ///< records handed out in chunks
     uint64_t _nextChunk = 0;
     bool _genDone = false;             ///< _gen reached its stop slot
-};
-
-/**
- * Routes chunk construction of an inner source through a TraceCache,
- * keyed `keyBase + "#c" + chunkIdx`, so concurrent consumers of the
- * same stream (sweep workers) build/decode each chunk exactly once.
- * Inner fetches are serialized under a mutex; cache lookups are not,
- * so cache hits from N workers proceed concurrently. End-of-stream is
- * cached as an empty chunk so every worker learns the length.
- */
-class CachedSource : public TraceSource
-{
-  public:
-    /** `key_base` defaults to the inner source's fingerprint. */
-    CachedSource(std::unique_ptr<TraceSource> inner, TraceCache &cache,
-                 std::string key_base = {});
-
-    std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
-    std::optional<uint64_t> knownSize() const override;
-    std::string fingerprint() const override { return _keyBase; }
-
-  private:
-    std::unique_ptr<TraceSource> _inner;
-    TraceCache &_cache;
-    std::string _keyBase;
-    mutable std::mutex _mu; ///< serializes inner fetches
 };
 
 /**

@@ -251,7 +251,7 @@ TEST(TraceCacheFaults, InFlightBuildDoesNotPinCacheAboveBudget)
     // Budget fits ~one 4000-record trace. "inflight" (LRU tail) never
     // completes while "a" and "b" land; eviction must skip past the
     // pending entry and reclaim "a" instead of giving up at the tail.
-    TraceCache cache(5000 * sizeof(TraceRecord));
+    TraceCache cache(5000 * TraceCache::kEntryBytesPerRecord);
     std::promise<void> release;
     std::shared_future<void> gate = release.get_future().share();
     std::thread builder([&] {
@@ -268,7 +268,7 @@ TEST(TraceCacheFaults, InFlightBuildDoesNotPinCacheAboveBudget)
 
     TraceCacheStats stats = cache.stats();
     EXPECT_GE(stats.evictions, 1u);
-    EXPECT_LE(stats.bytes, 5000 * sizeof(TraceRecord));
+    EXPECT_LE(stats.bytes, 5000 * TraceCache::kEntryBytesPerRecord);
 
     release.set_value();
     builder.join();

@@ -18,7 +18,7 @@
  * multi-chip peer traffic, sibling core), both cores of a two-core
  * chip (MultiCoreRunner at N=2, M=1), materialized vs generator vs
  * on-disk v4 files, chunk sizes 1 / non-divisor / default, and
- * jobs=1 vs jobs=4 sweeps.
+ * jobs=1 vs jobs=4 sweeps, cached and uncached.
  */
 
 #include <gtest/gtest.h>
@@ -201,8 +201,8 @@ buildCases()
         }
     }
 
-    // ---- on-disk v4 files (three chunk sizes, whole-trace reader,
-    // chunk cache), direct simulator runs ----
+    // ---- on-disk v4 files (three chunk sizes, whole-trace reader),
+    // direct simulator runs ----
     {
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 7);
         Trace trace = gen.generate(kWarmup + kMeasure);
@@ -222,9 +222,6 @@ buildCases()
         };
         for (const FileCase &fc : fcs)
             writeTraceFileV4(fc.path, trace, "hotloop", fc.chunk);
-        // Shared across configs: the second config replays the
-        // default-chunk file from cached decoded chunks.
-        TraceCache cache;
 
         const SimConfig cfgs[] = {SimConfig::defaults(), SimConfig::pc3()};
         for (const SimConfig &cfg : cfgs) {
@@ -243,22 +240,13 @@ buildCases()
                 out[std::string("file/") + cfg.name + "_" + fc.tag] =
                     hashSimResult(sim.run(src, kWarmup));
             }
-            // The whole-trace reader and the chunk-cache path.
+            // The whole-trace reader.
             {
                 Trace loaded = readTraceFile(fcs[0].path);
                 MaterializedSource src(loaded);
                 ChipNode chip(HierarchyConfig{}, 0);
                 MlpSimulator sim(cfg, chip);
                 out[std::string("file/") + cfg.name + "_v4_read"] =
-                    hashSimResult(sim.run(src, kWarmup));
-            }
-            {
-                CachedSource src(
-                    std::make_unique<StreamingFileSource>(fcs[0].path),
-                    cache);
-                ChipNode chip(HierarchyConfig{}, 0);
-                MlpSimulator sim(cfg, chip);
-                out[std::string("file/") + cfg.name + "_v4_cached"] =
                     hashSimResult(sim.run(src, kWarmup));
             }
         }
@@ -318,8 +306,8 @@ TEST(HotloopEquivalence, BitIdenticalAgainstGolden)
 
 /**
  * Parallel sweep determinism through the restructured hot loop: the
- * same batch at jobs=1 and jobs=4, streamed and materialized, must be
- * bit-identical (and hit the same goldens as each other).
+ * same batch at jobs=1 and jobs=4, on cached whole traces and on
+ * per-run streamed sources, must be bit-identical.
  */
 TEST(HotloopEquivalence, SweepJobsAndStreamingAgree)
 {
@@ -333,12 +321,12 @@ TEST(HotloopEquivalence, SweepJobsAndStreamingAgree)
         specs.push_back(spec);
     }
 
-    auto runWith = [&](unsigned jobs, bool streaming) {
+    auto runWith = [&](unsigned jobs, bool cached) {
         TraceCache cache;
         SweepOptions opts;
         opts.jobs = jobs;
         opts.progress = false;
-        opts.streaming = streaming;
+        opts.useTraceCache = cached;
         SweepEngine engine(opts, &cache);
         std::vector<PlannedRun> runs(specs.size());
         for (size_t i = 0; i < specs.size(); ++i) {
@@ -348,17 +336,17 @@ TEST(HotloopEquivalence, SweepJobsAndStreamingAgree)
         return engine.execute(runs);
     };
 
-    auto ref = runWith(1, false);
+    auto ref = runWith(1, true);
     for (unsigned jobs : {1u, 4u}) {
-        for (bool streaming : {false, true}) {
-            auto got = runWith(jobs, streaming);
+        for (bool cached : {true, false}) {
+            auto got = runWith(jobs, cached);
             ASSERT_EQ(got.size(), ref.size());
             for (size_t i = 0; i < ref.size(); ++i) {
                 ASSERT_TRUE(got[i].ok);
                 EXPECT_EQ(hashRunOutput(got[i].output),
                           hashRunOutput(ref[i].output))
                     << "spec " << i << " jobs=" << jobs
-                    << " streaming=" << streaming;
+                    << " cached=" << cached;
             }
         }
     }

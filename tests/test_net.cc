@@ -200,8 +200,6 @@ TEST(SweepRequestIo, TextRoundTripIsFixpoint)
 {
     SweepRequest req = tinyRequest(3, {"pc", "wc"});
     req.retries = 2;
-    req.streaming = true;
-    req.chunkInsts = 1024;
 
     std::string text = sweepRequestToText(req);
     SweepRequest back = sweepRequestFromText(text);
@@ -213,8 +211,6 @@ TEST(SweepRequestIo, TextRoundTripIsFixpoint)
     EXPECT_EQ(back.measureInsts, req.measureInsts);
     EXPECT_EQ(back.seed, req.seed);
     EXPECT_EQ(back.retries, req.retries);
-    EXPECT_EQ(back.streaming, req.streaming);
-    EXPECT_EQ(back.chunkInsts, req.chunkInsts);
     ASSERT_EQ(back.configs.size(), req.configs.size());
     for (size_t i = 0; i < back.configs.size(); ++i)
         EXPECT_EQ(back.configs[i].name, req.configs[i].name);
@@ -225,6 +221,24 @@ TEST(SweepRequestIo, TextRoundTripIsFixpoint)
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i].name, b[i].name);
+}
+
+TEST(SweepRequestIo, RetiredStreamingKeysAreUnknown)
+{
+    // Protocol v1 requests always carried these keys; a v2 reader
+    // refuses them instead of ignoring them.
+    std::string base = sweepRequestToText(tinyRequest(1));
+    for (const char *line : {"streaming = true", "chunkInsts = 1024"}) {
+        SCOPED_TRACE(line);
+        try {
+            sweepRequestFromText(base + line + "\n");
+            FAIL() << "expected ConfigError";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown key"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SweepRequestIo, FingerprintIgnoresRunFilter)

@@ -165,10 +165,9 @@ TEST(SweepEngine, Jobs1AndJobs4AreBitIdentical)
 
 TEST(SweepEngine, StreamingMatchesMaterializedAtAnyJobCount)
 {
-    // The streaming path (chunked sources, shared chunk cache) must
-    // reproduce the materialized sweep bit for bit, serial and
-    // parallel alike — including an adversarial chunk size that never
-    // divides the run length.
+    // The uncached path (each run streams its own source) must
+    // reproduce the sweep over cached whole traces bit for bit,
+    // serial and parallel alike.
     std::vector<RunSpec> specs = mixedSpecs();
 
     TraceCache mat_cache;
@@ -176,28 +175,20 @@ TEST(SweepEngine, StreamingMatchesMaterializedAtAnyJobCount)
         executeSpecs(makeEngine(mat_cache, 2), specs);
 
     for (unsigned jobs : {1u, 4u}) {
-        for (uint64_t chunk : {uint64_t{0}, uint64_t{1021}}) {
-            TraceCache cache;
-            SweepOptions opts;
-            opts.jobs = jobs;
-            opts.progress = false;
-            opts.streaming = true;
-            opts.chunkInsts = chunk;
-            std::vector<RunOutcome> streamed =
-                executeSpecs(SweepEngine(opts, &cache), specs);
-            ASSERT_EQ(streamed.size(), specs.size());
-            for (size_t i = 0; i < specs.size(); ++i) {
-                SCOPED_TRACE("jobs " + std::to_string(jobs) +
-                             " chunk " + std::to_string(chunk) +
-                             " spec " + std::to_string(i));
-                ASSERT_TRUE(streamed[i].ok)
-                    << streamed[i].errorMessage;
-                expectIdentical(materialized[i].output,
-                                streamed[i].output);
-            }
-            // Workers shared chunk production through the cache.
-            EXPECT_GT(cache.stats().hits + cache.stats().misses, 0u);
+        TraceCache unused;
+        std::vector<RunOutcome> streamed =
+            executeSpecs(makeEngine(unused, jobs, false), specs);
+        ASSERT_EQ(streamed.size(), specs.size());
+        for (size_t i = 0; i < specs.size(); ++i) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs) + " spec " +
+                         std::to_string(i));
+            ASSERT_TRUE(streamed[i].ok) << streamed[i].errorMessage;
+            EXPECT_FALSE(streamed[i].traceCacheHit);
+            expectIdentical(materialized[i].output, streamed[i].output);
         }
+        // The streamed runs never touch the cache.
+        EXPECT_EQ(unused.stats().hits + unused.stats().misses, 0u);
+        EXPECT_EQ(unused.stats().bytes, 0u);
     }
 }
 
@@ -305,7 +296,7 @@ TEST(TraceCache, ProfileFingerprintsAreDistinct)
 TEST(TraceCache, EvictsLruWhenOverBudget)
 {
     // Budget fits roughly one trace of 4000 records.
-    TraceCache cache(4000 * sizeof(TraceRecord));
+    TraceCache cache(4000 * TraceCache::kEntryBytesPerRecord);
     auto build = [](uint64_t seed) {
         return [seed] {
             SyntheticTraceGenerator gen(WorkloadProfile::testTiny(),
@@ -325,6 +316,26 @@ TEST(TraceCache, EvictsLruWhenOverBudget)
     cache.getOrBuild("a", build(1), &hit);
     EXPECT_FALSE(hit);
     EXPECT_GT(kept->size(), 0u);
+}
+
+TEST(TraceCache, BytesCountRecordsAndLanes)
+{
+    // A cached trace is served with its SoA lanes, so the budget must
+    // count them next to the records.
+    TraceCache cache;
+    const std::string key = "bytes-probe";
+    std::shared_ptr<const Trace> trace = cache.getOrBuild(key, [] {
+        SyntheticTraceGenerator gen(WorkloadProfile::testTiny(), 5, 0);
+        return gen.generate(3000);
+    });
+    std::shared_ptr<const TraceLanes> lanes = trace->lanes();
+    uint64_t record_bytes = trace->size() * sizeof(TraceRecord);
+    uint64_t lane_bytes = lanes->pc.size() * sizeof(lanes->pc[0]) +
+        lanes->addr.size() * sizeof(lanes->addr[0]) +
+        lanes->cls.size() * sizeof(lanes->cls[0]) +
+        lanes->meta.size() * sizeof(lanes->meta[0]);
+    ASSERT_EQ(lanes->pc.size(), trace->size());
+    EXPECT_EQ(cache.stats().bytes, record_bytes + lane_bytes + key.size());
 }
 
 TEST(Runner, TraceOverloadMatchesSelfBuiltTrace)

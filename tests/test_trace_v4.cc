@@ -21,7 +21,6 @@
 #include "core/config_io.hh"
 #include "core/runner.hh"
 #include "trace/generator.hh"
-#include "trace/trace_cache.hh"
 #include "trace/trace_codec.hh"
 #include "trace/trace_file_source.hh"
 #include "trace/trace_format.hh"
@@ -515,30 +514,6 @@ TEST(TraceV4Streaming, RandomAccessWithoutSequentialWalk)
     std::remove(path.c_str());
 }
 
-TEST(TraceV4Streaming, CachedSourceSharesDecodedChunks)
-{
-    Trace ref = makeTrace(5000, 29);
-    std::string path = ::testing::TempDir() + "v4_cache.trc";
-    writeTraceFileV4(path, ref, "v4-cache-test", 512);
-    TraceCache cache(64ull << 20);
-    auto make = [&] {
-        return std::make_unique<CachedSource>(
-            std::make_unique<StreamingFileSource>(path), cache);
-    };
-    auto a = make();
-    Trace first = materializeSource(*a);
-    expectTracesEqual(first, ref);
-    uint64_t misses_after_first = cache.stats().misses;
-    EXPECT_GT(misses_after_first, 0u);
-
-    auto b = make();
-    expectTracesEqual(materializeSource(*b), ref);
-    EXPECT_EQ(cache.stats().misses, misses_after_first)
-        << "second pass must be served from the chunk cache";
-    EXPECT_GT(cache.stats().hits, 0u);
-    std::remove(path.c_str());
-}
-
 // ---- simulation equivalence -------------------------------------------
 
 TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
@@ -549,7 +524,7 @@ TEST(TraceV4Runner, BitIdenticalToRawOnShippedConfigs)
     // StreamingFileSource and fully materialized via readTraceFile.
     const char *files[] = {"pc1.cfg", "pc2.cfg", "pc3.cfg",
                            "wc1.cfg", "wc2.cfg", "wc3.cfg",
-                           "hws2.cfg"};
+                           "hws2.cfg", "rmo1.cfg", "wmm1.cfg"};
     int compared = 0;
     for (const char *f : files) {
         std::string path;

@@ -43,7 +43,7 @@ namespace
 int
 runCoresSweep(const Cli &cli, const SweepRequest &req)
 {
-    for (const char *bad : {"epoch-log", "retries", "stream"}) {
+    for (const char *bad : {"epoch-log", "retries"}) {
         if (cli.has(bad)) {
             cli.fail(std::string("--") + bad +
                      " cannot be combined with --cores");
@@ -154,7 +154,6 @@ runCoresSweep(const Cli &cli, const SweepRequest &req)
                 : r.cores;
             spec.sharedStoreFrac = shared_frac;
             spec.lockProb = lock_prob;
-            spec.chunkInsts = req.chunkInsts;
             auto t0 = std::chrono::steady_clock::now();
             r.output = MultiCoreRunner::run(spec);
             r.wallMs = std::chrono::duration<double, std::milli>(

@@ -38,11 +38,6 @@ sweepRequestFlags()
         kWarmupFlag, kMeasureFlag, kSeedFlag,
         {"retries", "N",
          "retry a failing run up to N extra times (default 0)"},
-        {"stream", "",
-         "synthesize traces chunk-by-chunk per worker instead of\n"
-         "materializing them (O(chunk) trace memory per run;\n"
-         "workers share decoded chunks via the trace cache)"},
-        kChunkInstsFlag,
     };
 }
 
@@ -119,8 +114,6 @@ sweepRequestFromFlags(const Cli &cli)
     applyRunLengths(cli, req.warmupInsts, req.measureInsts, req.seed);
     if (cli.has("retries"))
         req.retries = static_cast<unsigned>(cli.num("retries", 0));
-    req.streaming = cli.flag("stream") || cli.has("chunk-insts");
-    req.chunkInsts = cli.num("chunk-insts", 0);
     return req;
 }
 
