@@ -1,17 +1,15 @@
 /**
  * @file
- * Config/profile text serialization implementation.
+ * Config/profile text serialization implementation: the value codecs,
+ * the enum token tables and the SimConfig and WorkloadProfile field
+ * tables.
  */
 
 #include "core/config_io.hh"
 
 #include <fstream>
-#include <functional>
 #include <istream>
-#include <map>
 #include <optional>
-#include <ostream>
-#include <sstream>
 
 #include "util/parse.hh"
 
@@ -21,378 +19,294 @@ namespace storemlp
 namespace
 {
 
-/** Trim leading/trailing whitespace. */
+/** One `{token, value}` row of an enum's text table. */
+template <class E>
+struct Token
+{
+    const char *text;
+    E value;
+};
+
+// Each table lists a value's canonical (saved) token first; later
+// rows are load-only aliases.
+constexpr Token<bool> kBoolTokens[] = {
+    {"true", true}, {"false", false}, {"1", true}, {"0", false},
+    {"on", true},   {"off", false},   {"yes", true}, {"no", false}};
+
+constexpr Token<StorePrefetch> kStorePrefetchTokens[] = {
+    {"sp0", StorePrefetch::None},       {"sp1", StorePrefetch::AtRetire},
+    {"sp2", StorePrefetch::AtExecute},  {"none", StorePrefetch::None},
+    {"retire", StorePrefetch::AtRetire},
+    {"execute", StorePrefetch::AtExecute}};
+
+constexpr Token<ScoutMode> kScoutTokens[] = {
+    {"off", ScoutMode::Off}, {"hws0", ScoutMode::Hws0},
+    {"hws1", ScoutMode::Hws1}, {"hws2", ScoutMode::Hws2}};
+
+constexpr Token<WorkloadProfile (*)()> kWorkloadTokens[] = {
+    {"database", &WorkloadProfile::database},
+    {"tpcw", &WorkloadProfile::tpcw},
+    {"specjbb", &WorkloadProfile::specjbb},
+    {"specweb", &WorkloadProfile::specweb},
+    {"tiny", &WorkloadProfile::testTiny}};
+
+template <class E, size_t N>
+E
+fromToken(const Token<E> (&table)[N], const std::string &text)
+{
+    std::string all;
+    for (const Token<E> &t : table) {
+        if (text == t.text)
+            return t.value;
+        all += (all.empty() ? "" : "|") + std::string(t.text);
+    }
+    throw ConfigError("'" + text + "' is not one of " + all);
+}
+
+template <class E, size_t N>
 std::string
-trim(const std::string &s)
+toToken(const Token<E> (&table)[N], E value)
 {
-    size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-bool
-parseBool(const std::string &v, const std::string &key)
-{
-    if (v == "true" || v == "1" || v == "on" || v == "yes")
-        return true;
-    if (v == "false" || v == "0" || v == "off" || v == "no")
-        return false;
-    throw ConfigParseError("bad boolean for '" + key + "': " + v);
-}
-
-uint64_t
-parseU64(const std::string &v, const std::string &key)
-{
-    // parseU64Strict rejects signs, whitespace and trailing junk —
-    // std::stoull would accept "-5" by wrapping it to 2^64-5.
-    std::optional<uint64_t> r = parseU64Strict(v);
-    if (!r)
-        throw ConfigParseError("bad integer for '" + key + "': " + v);
-    return *r;
-}
-
-double
-parseDouble(const std::string &v, const std::string &key)
-{
-    try {
-        size_t pos = 0;
-        double r = std::stod(v, &pos);
-        if (pos != v.size())
-            throw std::invalid_argument(v);
-        return r;
-    } catch (const std::exception &) {
-        throw ConfigParseError("bad number for '" + key + "': " + v);
+    for (const Token<E> &t : table) {
+        if (t.value == value)
+            return t.text;
     }
+    throw ConfigError("value has no token");
 }
 
-/** Iterate key=value lines, invoking the setter per pair. */
-void
-parseLines(std::istream &is,
-           const std::function<void(const std::string &,
-                                    const std::string &)> &set)
+std::ifstream
+openConfigFile(const std::string &path)
 {
-    std::string line;
-    unsigned lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string t = trim(line);
-        if (t.empty() || t[0] == '#')
-            continue;
-        size_t eq = t.find('=');
-        if (eq == std::string::npos) {
-            throw ConfigParseError("line " + std::to_string(lineno) +
-                                   ": expected key = value");
-        }
-        std::string key = trim(t.substr(0, eq));
-        std::string value = trim(t.substr(eq + 1));
-        if (key.empty())
-            throw ConfigParseError("line " + std::to_string(lineno) +
-                                   ": empty key");
-        set(key, value);
-    }
+    std::ifstream ifs(path);
+    if (!ifs)
+        throw ConfigError("cannot open: " + path);
+    return ifs;
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// Tokenizer and value codecs
+// ---------------------------------------------------------------------
+
+std::string
+ConfigLine::where() const
+{
+    return "line " + std::to_string(lineno) + ": ";
+}
+
+bool
+nextConfigLine(std::istream &is, ConfigLine &line)
+{
+    std::string raw;
+    while (std::getline(is, raw)) {
+        ++line.lineno;
+        std::string t = trimBlanks(raw);
+        if (t.empty() || t[0] == '#')
+            continue;
+        line.section = t[0] == '[';
+        if (line.section) {
+            line.key = t;
+            line.value.clear();
+            return true;
+        }
+        size_t eq = t.find('=');
+        if (eq == std::string::npos)
+            throw ConfigError(line.where() + "expected key = value");
+        line.key = trimBlanks(t.substr(0, eq));
+        line.value = trimBlanks(t.substr(eq + 1));
+        if (line.key.empty())
+            throw ConfigError(line.where() + "empty key");
+        return true;
+    }
+    return false;
+}
+
+// Each decoder accepts the text its encoder writes, plus the load-only
+// aliases of its token table.
+void decodeValue(const std::string &t, std::string &out) { out = t; }
+void decodeValue(const std::string &t, bool &out)
+{
+    out = fromToken(kBoolTokens, t);
+}
+void decodeValue(const std::string &t, StorePrefetch &out)
+{
+    out = fromToken(kStorePrefetchTokens, t);
+}
+void decodeValue(const std::string &t, ScoutMode &out)
+{
+    out = fromToken(kScoutTokens, t);
+}
+void decodeValue(const std::string &t, ModelDescriptor &out)
+{
+    out = ModelDescriptor::parse(t);
+}
+std::string encodeValue(const std::string &v) { return v; }
+std::string encodeValue(bool v) { return toToken(kBoolTokens, v); }
+std::string encodeValue(StorePrefetch v)
+{
+    return toToken(kStorePrefetchTokens, v);
+}
+std::string encodeValue(ScoutMode v) { return toToken(kScoutTokens, v); }
+std::string encodeValue(const ModelDescriptor &v) { return v.spec(); }
+std::string encodeValue(uint32_t v) { return std::to_string(v); }
+std::string encodeValue(uint64_t v) { return std::to_string(v); }
+std::string encodeValue(double v) { return formatDoubleExact(v); }
+
+void
+decodeValue(const std::string &t, uint64_t &out)
+{
+    // parseU64Strict rejects signs, whitespace and trailing junk —
+    // std::stoull would accept "-5" by wrapping it to 2^64-5.
+    std::optional<uint64_t> v = parseU64Strict(t);
+    if (!v)
+        throw ConfigError("'" + t + "' is not an unsigned integer");
+    out = *v;
+}
+
+void
+decodeValue(const std::string &t, uint32_t &out)
+{
+    uint64_t v = 0;
+    decodeValue(t, v);
+    if (v > UINT32_MAX)
+        throw ConfigError("'" + t + "' exceeds 4294967295");
+    out = static_cast<uint32_t>(v);
+}
+
+void
+decodeValue(const std::string &t, double &out)
+{
+    std::optional<double> v = parseDoubleStrict(t);
+    if (!v)
+        throw ConfigError("'" + t + "' is not a finite decimal number");
+    out = *v;
+}
+
+// ---------------------------------------------------------------------
+// SimConfig and WorkloadProfile
+// ---------------------------------------------------------------------
+
+// Rows are in save order. A key equal to its member's name is spelled
+// once, by the row macro.
+#define ROW(m) field(#m, &SimConfig::m)
+const std::vector<Field<SimConfig>> &
+simConfigFields()
+{
+    static const std::vector<Field<SimConfig>> table = {
+        ROW(name), ROW(fetchBufferSize), ROW(issueWindowSize),
+        ROW(robSize), ROW(storeBufferSize), ROW(storeQueueSize),
+        ROW(loadBufferSize), ROW(storePrefetch), ROW(coalesceBytes),
+        ROW(infiniteStoreQueue), ROW(perfectStores),
+        field("model", &SimConfig::memoryModel),
+        // Legacy two-model key, a load-only alias of the presets.
+        {"memoryModel",
+         [](SimConfig &c, const std::string &v) {
+             if (v != "pc" && v != "tso" && v != "wc")
+                 throw ConfigError("'" + v + "' is not one of pc|tso|wc");
+             c.memoryModel = *ModelDescriptor::findPreset(v);
+         },
+         {}},
+        ROW(sle),
+        field("tmEnabled", &SimConfig::tm, &TmConfig::enabled),
+        field("tmAbortProb", &SimConfig::tm, &TmConfig::abortProb),
+        field("tmAbortPenaltyCycles", &SimConfig::tm,
+              &TmConfig::abortPenaltyCycles),
+        ROW(prefetchPastSerializing), ROW(scout), ROW(missLatency),
+        ROW(cpiOnChip), ROW(mispredictPenalty)};
+    return table;
+}
+#undef ROW
+
+#define ROW(m) field(#m, &WorkloadProfile::m)
+const std::vector<Field<WorkloadProfile>> &
+workloadProfileFields()
+{
+    static const std::vector<Field<WorkloadProfile>> table = {
+        // Load-only: selects the starting profile (first key only).
+        {"base",
+         [](WorkloadProfile &p, const std::string &v) {
+             p = workloadProfileForName(v);
+         },
+         {}},
+        ROW(name), ROW(loadFrac), ROW(storeFrac), ROW(branchFrac),
+        ROW(loadColdProb), ROW(loadBurstCont), ROW(storeColdProb),
+        ROW(storeBurstCont), ROW(coldStoresPerLine), ROW(storeSpatialRun),
+        ROW(storeRevisitFrac), ROW(flushPhaseProb), ROW(flushLenMean),
+        ROW(flushStoreFrac), ROW(flushColdProb), ROW(burstPhaseProb),
+        ROW(burstLenMean), ROW(burstStoreFrac), ROW(burstColdProb),
+        ROW(instColdProb), ROW(instBurstCont), ROW(hotDataBytes),
+        ROW(hotL1Frac), ROW(hotL1Bytes), ROW(hotCodeBytes),
+        ROW(hotCodeWindowBytes), ROW(hotCodeJumpProb),
+        ROW(storeMissRegionBytes), ROW(sharedStoreFrac),
+        ROW(sharedStoreRegionBytes), ROW(sharedHotFrac),
+        ROW(sharedHotBytes), ROW(lockProb), ROW(lockCount), ROW(csBodyLen),
+        ROW(membarProb), ROW(easyBranchFrac), ROW(branchBias),
+        ROW(staticBranches), ROW(branchDependsOnLoadProb), ROW(depNearProb),
+        ROW(cpiOnChip)};
+    return table;
+}
+#undef ROW
 
 SimConfig
 loadSimConfig(std::istream &is)
 {
     SimConfig c;
-    parseLines(is, [&](const std::string &key, const std::string &v) {
-        if (key == "name") {
-            c.name = v;
-        } else if (key == "fetchBufferSize") {
-            c.fetchBufferSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "issueWindowSize") {
-            c.issueWindowSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "robSize") {
-            c.robSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "storeBufferSize") {
-            c.storeBufferSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "storeQueueSize") {
-            c.storeQueueSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "loadBufferSize") {
-            c.loadBufferSize = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "storePrefetch") {
-            if (v == "sp0" || v == "none")
-                c.storePrefetch = StorePrefetch::None;
-            else if (v == "sp1" || v == "retire")
-                c.storePrefetch = StorePrefetch::AtRetire;
-            else if (v == "sp2" || v == "execute")
-                c.storePrefetch = StorePrefetch::AtExecute;
-            else
-                throw ConfigParseError("bad storePrefetch: " + v);
-        } else if (key == "coalesceBytes") {
-            c.coalesceBytes = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "infiniteStoreQueue") {
-            c.infiniteStoreQueue = parseBool(v, key);
-        } else if (key == "perfectStores") {
-            c.perfectStores = parseBool(v, key);
-        } else if (key == "model") {
-            // Preset name or full key=val descriptor; parse throws
-            // ConfigError (= ConfigParseError) on anything malformed.
-            c.memoryModel = ModelDescriptor::parse(v);
-        } else if (key == "memoryModel") {
-            // Legacy two-model key, kept as an alias of the presets.
-            const ModelDescriptor *p = nullptr;
-            if (v == "pc" || v == "tso" || v == "wc")
-                p = ModelDescriptor::findPreset(v);
-            if (!p)
-                throw ConfigParseError("bad memoryModel: " + v);
-            c.memoryModel = *p;
-        } else if (key == "sle") {
-            c.sle = parseBool(v, key);
-        } else if (key == "tmEnabled") {
-            c.tm.enabled = parseBool(v, key);
-        } else if (key == "tmAbortProb") {
-            c.tm.abortProb = parseDouble(v, key);
-        } else if (key == "tmAbortPenaltyCycles") {
-            c.tm.abortPenaltyCycles = parseDouble(v, key);
-        } else if (key == "prefetchPastSerializing") {
-            c.prefetchPastSerializing = parseBool(v, key);
-        } else if (key == "scout") {
-            if (v == "off")
-                c.scout = ScoutMode::Off;
-            else if (v == "hws0")
-                c.scout = ScoutMode::Hws0;
-            else if (v == "hws1")
-                c.scout = ScoutMode::Hws1;
-            else if (v == "hws2")
-                c.scout = ScoutMode::Hws2;
-            else
-                throw ConfigParseError("bad scout: " + v);
-        } else if (key == "missLatency") {
-            c.missLatency = static_cast<uint32_t>(parseU64(v, key));
-        } else if (key == "cpiOnChip") {
-            c.cpiOnChip = parseDouble(v, key);
-        } else if (key == "mispredictPenalty") {
-            c.mispredictPenalty = parseDouble(v, key);
-        } else {
-            throw ConfigParseError("unknown SimConfig key: " + key);
-        }
-    });
+    ConfigLine line;
+    while (nextConfigLine(is, line))
+        loadLine(simConfigFields(), c, line);
     return c;
 }
 
 SimConfig
 loadSimConfigFile(const std::string &path)
 {
-    std::ifstream ifs(path);
-    if (!ifs)
-        throw ConfigParseError("cannot open: " + path);
+    std::ifstream ifs = openConfigFile(path);
     return loadSimConfig(ifs);
 }
 
 void
 saveSimConfig(std::ostream &os, const SimConfig &c)
 {
-    const char *sp = c.storePrefetch == StorePrefetch::None ? "sp0"
-        : c.storePrefetch == StorePrefetch::AtRetire ? "sp1" : "sp2";
-    const char *scout = c.scout == ScoutMode::Off ? "off"
-        : c.scout == ScoutMode::Hws0 ? "hws0"
-        : c.scout == ScoutMode::Hws1 ? "hws1" : "hws2";
-    os << "name = " << c.name << "\n"
-       << "fetchBufferSize = " << c.fetchBufferSize << "\n"
-       << "issueWindowSize = " << c.issueWindowSize << "\n"
-       << "robSize = " << c.robSize << "\n"
-       << "storeBufferSize = " << c.storeBufferSize << "\n"
-       << "storeQueueSize = " << c.storeQueueSize << "\n"
-       << "loadBufferSize = " << c.loadBufferSize << "\n"
-       << "storePrefetch = " << sp << "\n"
-       << "coalesceBytes = " << c.coalesceBytes << "\n"
-       << "infiniteStoreQueue = "
-       << (c.infiniteStoreQueue ? "true" : "false") << "\n"
-       << "perfectStores = " << (c.perfectStores ? "true" : "false")
-       << "\n"
-       << "model = " << c.memoryModel.spec() << "\n"
-       << "sle = " << (c.sle ? "true" : "false") << "\n"
-       << "tmEnabled = " << (c.tm.enabled ? "true" : "false") << "\n"
-       << "tmAbortProb = " << c.tm.abortProb << "\n"
-       << "tmAbortPenaltyCycles = " << c.tm.abortPenaltyCycles << "\n"
-       << "prefetchPastSerializing = "
-       << (c.prefetchPastSerializing ? "true" : "false") << "\n"
-       << "scout = " << scout << "\n"
-       << "missLatency = " << c.missLatency << "\n"
-       << "cpiOnChip = " << c.cpiOnChip << "\n"
-       << "mispredictPenalty = " << c.mispredictPenalty << "\n";
+    saveFields(os, simConfigFields(), c);
+}
+
+WorkloadProfile
+workloadProfileForName(const std::string &name)
+{
+    try {
+        return fromToken(kWorkloadTokens, name)();
+    } catch (const ConfigError &e) {
+        throw ConfigError(std::string("workload ") + e.what());
+    }
 }
 
 WorkloadProfile
 loadWorkloadProfile(std::istream &is)
 {
     WorkloadProfile p;
-    bool first = true;
-    parseLines(is, [&](const std::string &key, const std::string &v) {
-        if (key == "base") {
-            if (!first) {
-                throw ConfigParseError(
-                    "'base' must be the first profile key");
-            }
-            if (v == "database")
-                p = WorkloadProfile::database();
-            else if (v == "tpcw")
-                p = WorkloadProfile::tpcw();
-            else if (v == "specjbb")
-                p = WorkloadProfile::specjbb();
-            else if (v == "specweb")
-                p = WorkloadProfile::specweb();
-            else if (v == "tiny")
-                p = WorkloadProfile::testTiny();
-            else
-                throw ConfigParseError("bad base profile: " + v);
-            first = false;
-            return;
+    ConfigLine line;
+    for (bool first = true; nextConfigLine(is, line); first = false) {
+        if (line.key == "base" && !first) {
+            throw ConfigError(line.where() +
+                              "'base' must be the first profile key");
         }
-        first = false;
-        if (key == "name")
-            p.name = v;
-        else if (key == "loadFrac")
-            p.loadFrac = parseDouble(v, key);
-        else if (key == "storeFrac")
-            p.storeFrac = parseDouble(v, key);
-        else if (key == "branchFrac")
-            p.branchFrac = parseDouble(v, key);
-        else if (key == "loadColdProb")
-            p.loadColdProb = parseDouble(v, key);
-        else if (key == "loadBurstCont")
-            p.loadBurstCont = parseDouble(v, key);
-        else if (key == "storeColdProb")
-            p.storeColdProb = parseDouble(v, key);
-        else if (key == "storeBurstCont")
-            p.storeBurstCont = parseDouble(v, key);
-        else if (key == "coldStoresPerLine")
-            p.coldStoresPerLine =
-                static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "storeSpatialRun")
-            p.storeSpatialRun = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "storeRevisitFrac")
-            p.storeRevisitFrac = parseDouble(v, key);
-        else if (key == "flushPhaseProb")
-            p.flushPhaseProb = parseDouble(v, key);
-        else if (key == "flushLenMean")
-            p.flushLenMean = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "flushStoreFrac")
-            p.flushStoreFrac = parseDouble(v, key);
-        else if (key == "flushColdProb")
-            p.flushColdProb = parseDouble(v, key);
-        else if (key == "burstPhaseProb")
-            p.burstPhaseProb = parseDouble(v, key);
-        else if (key == "burstLenMean")
-            p.burstLenMean = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "burstStoreFrac")
-            p.burstStoreFrac = parseDouble(v, key);
-        else if (key == "burstColdProb")
-            p.burstColdProb = parseDouble(v, key);
-        else if (key == "instColdProb")
-            p.instColdProb = parseDouble(v, key);
-        else if (key == "instBurstCont")
-            p.instBurstCont = parseDouble(v, key);
-        else if (key == "hotDataBytes")
-            p.hotDataBytes = parseU64(v, key);
-        else if (key == "hotL1Frac")
-            p.hotL1Frac = parseDouble(v, key);
-        else if (key == "hotL1Bytes")
-            p.hotL1Bytes = parseU64(v, key);
-        else if (key == "hotCodeBytes")
-            p.hotCodeBytes = parseU64(v, key);
-        else if (key == "hotCodeWindowBytes")
-            p.hotCodeWindowBytes = parseU64(v, key);
-        else if (key == "hotCodeJumpProb")
-            p.hotCodeJumpProb = parseDouble(v, key);
-        else if (key == "storeMissRegionBytes")
-            p.storeMissRegionBytes = parseU64(v, key);
-        else if (key == "sharedStoreFrac")
-            p.sharedStoreFrac = parseDouble(v, key);
-        else if (key == "sharedStoreRegionBytes")
-            p.sharedStoreRegionBytes = parseU64(v, key);
-        else if (key == "sharedHotFrac")
-            p.sharedHotFrac = parseDouble(v, key);
-        else if (key == "sharedHotBytes")
-            p.sharedHotBytes = parseU64(v, key);
-        else if (key == "lockProb")
-            p.lockProb = parseDouble(v, key);
-        else if (key == "lockCount")
-            p.lockCount = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "csBodyLen")
-            p.csBodyLen = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "membarProb")
-            p.membarProb = parseDouble(v, key);
-        else if (key == "easyBranchFrac")
-            p.easyBranchFrac = parseDouble(v, key);
-        else if (key == "branchBias")
-            p.branchBias = parseDouble(v, key);
-        else if (key == "staticBranches")
-            p.staticBranches = static_cast<uint32_t>(parseU64(v, key));
-        else if (key == "branchDependsOnLoadProb")
-            p.branchDependsOnLoadProb = parseDouble(v, key);
-        else if (key == "depNearProb")
-            p.depNearProb = parseDouble(v, key);
-        else if (key == "cpiOnChip")
-            p.cpiOnChip = parseDouble(v, key);
-        else
-            throw ConfigParseError("unknown profile key: " + key);
-    });
+        loadLine(workloadProfileFields(), p, line);
+    }
     return p;
 }
 
 WorkloadProfile
 loadWorkloadProfileFile(const std::string &path)
 {
-    std::ifstream ifs(path);
-    if (!ifs)
-        throw ConfigParseError("cannot open: " + path);
+    std::ifstream ifs = openConfigFile(path);
     return loadWorkloadProfile(ifs);
 }
 
 void
 saveWorkloadProfile(std::ostream &os, const WorkloadProfile &p)
 {
-    os << "name = " << p.name << "\n"
-       << "loadFrac = " << p.loadFrac << "\n"
-       << "storeFrac = " << p.storeFrac << "\n"
-       << "branchFrac = " << p.branchFrac << "\n"
-       << "loadColdProb = " << p.loadColdProb << "\n"
-       << "loadBurstCont = " << p.loadBurstCont << "\n"
-       << "storeColdProb = " << p.storeColdProb << "\n"
-       << "storeBurstCont = " << p.storeBurstCont << "\n"
-       << "coldStoresPerLine = " << p.coldStoresPerLine << "\n"
-       << "storeSpatialRun = " << p.storeSpatialRun << "\n"
-       << "storeRevisitFrac = " << p.storeRevisitFrac << "\n"
-       << "flushPhaseProb = " << p.flushPhaseProb << "\n"
-       << "flushLenMean = " << p.flushLenMean << "\n"
-       << "flushStoreFrac = " << p.flushStoreFrac << "\n"
-       << "flushColdProb = " << p.flushColdProb << "\n"
-       << "burstPhaseProb = " << p.burstPhaseProb << "\n"
-       << "burstLenMean = " << p.burstLenMean << "\n"
-       << "burstStoreFrac = " << p.burstStoreFrac << "\n"
-       << "burstColdProb = " << p.burstColdProb << "\n"
-       << "instColdProb = " << p.instColdProb << "\n"
-       << "instBurstCont = " << p.instBurstCont << "\n"
-       << "hotDataBytes = " << p.hotDataBytes << "\n"
-       << "hotL1Frac = " << p.hotL1Frac << "\n"
-       << "hotL1Bytes = " << p.hotL1Bytes << "\n"
-       << "hotCodeBytes = " << p.hotCodeBytes << "\n"
-       << "hotCodeWindowBytes = " << p.hotCodeWindowBytes << "\n"
-       << "hotCodeJumpProb = " << p.hotCodeJumpProb << "\n"
-       << "storeMissRegionBytes = " << p.storeMissRegionBytes << "\n"
-       << "sharedStoreFrac = " << p.sharedStoreFrac << "\n"
-       << "sharedStoreRegionBytes = " << p.sharedStoreRegionBytes
-       << "\n"
-       << "sharedHotFrac = " << p.sharedHotFrac << "\n"
-       << "sharedHotBytes = " << p.sharedHotBytes << "\n"
-       << "lockProb = " << p.lockProb << "\n"
-       << "lockCount = " << p.lockCount << "\n"
-       << "csBodyLen = " << p.csBodyLen << "\n"
-       << "membarProb = " << p.membarProb << "\n"
-       << "easyBranchFrac = " << p.easyBranchFrac << "\n"
-       << "branchBias = " << p.branchBias << "\n"
-       << "staticBranches = " << p.staticBranches << "\n"
-       << "branchDependsOnLoadProb = " << p.branchDependsOnLoadProb
-       << "\n"
-       << "depNearProb = " << p.depNearProb << "\n"
-       << "cpiOnChip = " << p.cpiOnChip << "\n";
+    saveFields(os, workloadProfileFields(), p);
 }
 
 } // namespace storemlp

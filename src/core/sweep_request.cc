@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <unordered_set>
@@ -28,35 +27,6 @@ namespace
 {
 
 std::string
-trimmed(const std::string &s)
-{
-    size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-std::vector<std::string>
-splitList(const std::string &list, char sep)
-{
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= list.size()) {
-        size_t end = list.find(sep, pos);
-        std::string tok = trimmed(list.substr(
-            pos,
-            end == std::string::npos ? std::string::npos : end - pos));
-        if (!tok.empty())
-            out.push_back(tok);
-        if (end == std::string::npos)
-            break;
-        pos = end + 1;
-    }
-    return out;
-}
-
-std::string
 joinList(const std::vector<std::string> &items, char sep)
 {
     std::string out;
@@ -68,15 +38,33 @@ joinList(const std::vector<std::string> &items, char sep)
     return out;
 }
 
-uint64_t
-parseU64Field(const std::string &key, const std::string &value)
+/** Row for a `sep`-separated list of names. */
+Field<SweepRequest>
+listField(const char *key, std::vector<std::string> SweepRequest::*m,
+          char sep, bool omit_empty)
 {
-    std::optional<uint64_t> v = parseU64Strict(value);
-    if (!v) {
-        throw ConfigError("sweep request: bad integer for '" + key +
-                          "': " + value);
-    }
-    return *v;
+    return {key,
+            [m, sep](SweepRequest &r, const std::string &v) {
+                r.*m = splitList(v, sep);
+            },
+            [m, sep](const SweepRequest &r) { return joinList(r.*m, sep); },
+            omit_empty};
+}
+
+/** The top-level keys; `[config NAME]` blocks follow them. */
+const std::vector<Field<SweepRequest>> &
+requestFields()
+{
+    static const std::vector<Field<SweepRequest>> table = {
+        listField("workloads", &SweepRequest::workloads, ',', false),
+        listField("models", &SweepRequest::models, ';', true),
+        field("warmup", &SweepRequest::warmupInsts),
+        field("measure", &SweepRequest::measureInsts),
+        field("seed", &SweepRequest::seed),
+        field("retries", &SweepRequest::retries),
+        listField("runs", &SweepRequest::runFilter, ';', true),
+    };
+    return table;
 }
 
 void
@@ -91,23 +79,6 @@ validateConfigName(const std::string &name)
 }
 
 } // namespace
-
-WorkloadProfile
-workloadProfileForName(const std::string &name)
-{
-    if (name == "database")
-        return WorkloadProfile::database();
-    if (name == "tpcw")
-        return WorkloadProfile::tpcw();
-    if (name == "specjbb")
-        return WorkloadProfile::specjbb();
-    if (name == "specweb")
-        return WorkloadProfile::specweb();
-    if (name == "tiny")
-        return WorkloadProfile::testTiny();
-    throw ConfigError("unknown workload '" + name +
-                      "' (database|tpcw|specjbb|specweb|tiny)");
-}
 
 std::vector<PlannedRun>
 expandSweepRuns(const SweepRequest &req)
@@ -192,15 +163,7 @@ void
 saveSweepRequest(std::ostream &os, const SweepRequest &req)
 {
     os << "# storemlp sweep request\n";
-    os << "workloads = " << joinList(req.workloads, ',') << "\n";
-    if (!req.models.empty())
-        os << "models = " << joinList(req.models, ';') << "\n";
-    os << "warmup = " << req.warmupInsts << "\n";
-    os << "measure = " << req.measureInsts << "\n";
-    os << "seed = " << req.seed << "\n";
-    os << "retries = " << req.retries << "\n";
-    if (!req.runFilter.empty())
-        os << "runs = " << joinList(req.runFilter, ';') << "\n";
+    saveFields(os, requestFields(), req);
     for (const SweepConfigEntry &entry : req.configs) {
         validateConfigName(entry.name);
         os << "[config " << entry.name << "]\n";
@@ -221,74 +184,31 @@ SweepRequest
 loadSweepRequest(std::istream &is)
 {
     SweepRequest req;
-    std::string line;
-    unsigned lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string t = trimmed(line);
-        if (t.empty() || t[0] == '#')
-            continue;
-
-        if (t.rfind("[config ", 0) == 0) {
-            if (t.back() != ']') {
-                throw ConfigError("sweep request line " +
-                                  std::to_string(lineno) +
-                                  ": malformed config header '" + t +
-                                  "'");
-            }
-            SweepConfigEntry entry;
-            entry.name = trimmed(t.substr(8, t.size() - 9));
-            validateConfigName(entry.name);
-            std::ostringstream body;
-            bool closed = false;
-            while (std::getline(is, line)) {
-                ++lineno;
-                if (trimmed(line) == "[endconfig]") {
-                    closed = true;
-                    break;
-                }
-                body << line << "\n";
-            }
-            if (!closed) {
-                throw ConfigError("sweep request: config '" +
-                                  entry.name +
-                                  "' not closed by [endconfig]");
-            }
-            std::istringstream body_is(body.str());
-            entry.config = loadSimConfig(body_is);
-            req.configs.push_back(std::move(entry));
+    ConfigLine line;
+    while (nextConfigLine(is, line)) {
+        if (!line.section) {
+            loadLine(requestFields(), req, line);
             continue;
         }
-
-        size_t eq = t.find('=');
-        if (eq == std::string::npos) {
-            throw ConfigError("sweep request line " +
-                              std::to_string(lineno) +
-                              ": expected key = value, got '" + t +
-                              "'");
+        const std::string &t = line.key;
+        if (t.rfind("[config ", 0) != 0 || t.back() != ']') {
+            throw ConfigError(line.where() + "malformed config header '" +
+                              t + "'");
         }
-        std::string key = trimmed(t.substr(0, eq));
-        std::string value = trimmed(t.substr(eq + 1));
-        if (key == "workloads") {
-            req.workloads = splitList(value, ',');
-        } else if (key == "models") {
-            req.models = splitList(value, ';');
-        } else if (key == "warmup") {
-            req.warmupInsts = parseU64Field(key, value);
-        } else if (key == "measure") {
-            req.measureInsts = parseU64Field(key, value);
-        } else if (key == "seed") {
-            req.seed = parseU64Field(key, value);
-        } else if (key == "retries") {
-            req.retries =
-                static_cast<unsigned>(parseU64Field(key, value));
-        } else if (key == "runs") {
-            req.runFilter = splitList(value, ';');
-        } else {
-            throw ConfigError("sweep request line " +
-                              std::to_string(lineno) +
-                              ": unknown key '" + key + "'");
+        SweepConfigEntry entry;
+        entry.name = trimBlanks(t.substr(8, t.size() - 9));
+        validateConfigName(entry.name);
+        bool closed = false;
+        while (!closed && nextConfigLine(is, line)) {
+            closed = line.section && line.key == "[endconfig]";
+            if (!closed)
+                loadLine(simConfigFields(), entry.config, line);
         }
+        if (!closed) {
+            throw ConfigError("config '" + entry.name +
+                              "' not closed by [endconfig]");
+        }
+        req.configs.push_back(std::move(entry));
     }
     return req;
 }

@@ -12,8 +12,11 @@
  * same computation as one submitted locally.
  *
  * Serialization is plain text built on `config_io`: top-level
- * key=value lines plus one `[config NAME]` ... `[endconfig]` block per
- * configuration whose body is exactly `saveSimConfig` output.
+ * key=value lines from the request's field table plus one
+ * `[config NAME]` ... `[endconfig]` block per configuration whose body
+ * is exactly `saveSimConfig` output. Doubles are written with
+ * round-trip precision, so a loaded request is the saved one field for
+ * field and expands to the same RunSpecs;
  * `saveSweepRequest(loadSweepRequest(text))` is a fixpoint, and
  * `sweepRequestFingerprint` hashes that canonical text so artifacts
  * can name the exact request that produced them.
@@ -27,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/config_io.hh"
 #include "core/runner.hh"
 #include "core/sim_config.hh"
 #include "stats/stats_json.hh"
@@ -88,13 +92,6 @@ struct PlannedRun
     std::string model;      ///< model axis value; "" when not crossed
     RunSpec spec;
 };
-
-/**
- * Resolve a workload name used in requests. Accepts the four
- * commercial profiles plus "tiny" (the test profile). Throws
- * ConfigError on anything else.
- */
-WorkloadProfile workloadProfileForName(const std::string &name);
 
 /**
  * Expand a request into its planned runs: the full

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "stats/table.hh"
+#include "util/parse.hh"
 
 namespace storemlp
 {
@@ -49,16 +50,10 @@ jsonEscape(std::string_view s)
 std::string
 jsonDouble(double v)
 {
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
     // JSON requires a leading digit series; %g never emits a bare
     // ".5", but it can emit "inf"/"nan" which JSON lacks — the
     // simulator never produces them, guard anyway.
-    std::string s = buf;
+    std::string s = formatDoubleExact(v);
     if (s.find_first_not_of("0123456789+-.eE") != std::string::npos)
         return "0";
     return s;

@@ -156,8 +156,8 @@ class JsonValue
 std::string jsonEscape(std::string_view s);
 
 /**
- * Format a double so that strtod() recovers the exact same bits:
- * shortest of %.15g/%.16g/%.17g that round-trips.
+ * Format a double so that strtod() recovers the exact same bits
+ * (formatDoubleExact); non-finite values, which JSON lacks, print "0".
  */
 std::string jsonDouble(double v);
 

@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "util/error.hh"
@@ -47,11 +48,55 @@ parseDoubleStrict(const std::string &s)
     errno = 0;
     char *end = nullptr;
     double v = std::strtod(s.c_str(), &end);
-    if (errno == ERANGE || end != s.c_str() + s.size())
+    if (end != s.c_str() + s.size() || !std::isfinite(v))
         return std::nullopt;
-    if (!std::isfinite(v))
+    // ERANGE also flags a subnormal result, which is exact and is what
+    // formatDoubleExact writes for one; only an underflow to zero has
+    // lost the value.
+    if (errno == ERANGE && v == 0.0)
         return std::nullopt;
     return v;
+}
+
+std::string
+formatDoubleExact(double v)
+{
+    char buf[40];
+    for (int prec = 15; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+std::string
+trimBlanks(const std::string &s)
+{
+    size_t b = s.find_first_not_of(" \t\r");
+    if (b == std::string::npos)
+        return "";
+    size_t e = s.find_last_not_of(" \t\r");
+    return s.substr(b, e - b + 1);
+}
+
+std::vector<std::string>
+splitList(const std::string &list, char sep)
+{
+    std::vector<std::string> out;
+    size_t pos = 0;
+    while (pos <= list.size()) {
+        size_t end = list.find(sep, pos);
+        std::string tok = trimBlanks(list.substr(
+            pos,
+            end == std::string::npos ? std::string::npos : end - pos));
+        if (!tok.empty())
+            out.push_back(tok);
+        if (end == std::string::npos)
+            break;
+        pos = end + 1;
+    }
+    return out;
 }
 
 uint64_t

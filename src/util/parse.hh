@@ -1,7 +1,8 @@
 /**
  * @file
- * Strict numeric parsing for external inputs (CLI flags, environment
- * variables, config files). The C library's strtoull-style parsers
+ * Strict parsing for external inputs (CLI flags, environment
+ * variables, config files), and the exact double formatting that
+ * reads back through it. The C library's strtoull-style parsers
  * silently accept garbage — "abc" parses as 0, "10k" as 10, "-1"
  * wraps to 2^64-1 — which turns a typo into a silently wrong
  * experiment. These helpers reject anything that is not exactly a
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace storemlp
 {
@@ -34,6 +36,20 @@ std::optional<uint64_t> parseU64Strict(const std::string &s);
  * accepted; range checking is the caller's business.
  */
 std::optional<double> parseDoubleStrict(const std::string &s);
+
+/**
+ * The fewest significant digits (15 to 17, "%g" style) that
+ * parseDoubleStrict reads back to the same bits, so written values
+ * survive a text round trip exactly. Non-finite values print as
+ * "nan"/"inf", which no strict parser accepts back.
+ */
+std::string formatDoubleExact(double v);
+
+/** `s` without leading and trailing spaces, tabs and CRs. */
+std::string trimBlanks(const std::string &s);
+
+/** The trimmed items of a `sep`-separated list; empty items dropped. */
+std::vector<std::string> splitList(const std::string &list, char sep);
 
 /**
  * Read an environment variable as a uint64_t in [min_value,

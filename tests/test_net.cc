@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -221,6 +223,57 @@ TEST(SweepRequestIo, TextRoundTripIsFixpoint)
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i].name, b[i].name);
+}
+
+// The runs a request text carries are the runs of the in-memory
+// request: doubles cross the wire exactly (1.2345678 used to arrive as
+// 1.23457).
+TEST(SweepRequestIo, TextRunsEqualInMemoryRuns)
+{
+    SweepRequest req = tinyRequest(2, {"pc", "wc"});
+    req.configs[0].config.cpiOnChip = 1.2345678;
+    req.configs[1].config.tm.abortProb = 0.0123456789012;
+    req.configs[1].config.mispredictPenalty = 12.000000000000002;
+
+    std::vector<PlannedRun> want = expandSweepRuns(req);
+    std::vector<PlannedRun> got =
+        expandSweepRuns(sweepRequestFromText(sweepRequestToText(req)));
+    ASSERT_EQ(got.size(), want.size());
+    auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+    for (size_t i = 0; i < want.size(); ++i) {
+        const RunSpec &a = want[i].spec;
+        const RunSpec &b = got[i].spec;
+        EXPECT_EQ(got[i].name, want[i].name);
+        EXPECT_EQ(b.profile.cacheKey(), a.profile.cacheKey());
+        EXPECT_EQ(b.config.name, a.config.name);
+        EXPECT_EQ(b.config.memoryModel, a.config.memoryModel);
+        EXPECT_EQ(bits(b.config.cpiOnChip), bits(a.config.cpiOnChip));
+        EXPECT_EQ(bits(b.config.mispredictPenalty),
+                  bits(a.config.mispredictPenalty));
+        EXPECT_EQ(bits(b.config.tm.abortProb),
+                  bits(a.config.tm.abortProb));
+        EXPECT_EQ(bits(b.config.tm.abortPenaltyCycles),
+                  bits(a.config.tm.abortPenaltyCycles));
+        EXPECT_EQ(b.warmupInsts, a.warmupInsts);
+        EXPECT_EQ(b.measureInsts, a.measureInsts);
+        EXPECT_EQ(b.seed, a.seed);
+    }
+}
+
+// Fingerprint of the shipped batch, recorded before the request codec
+// became table-driven and never regenerated: artifacts of the same
+// batch keep naming the same request.
+TEST(SweepRequestIo, FrozenShippedBatchFingerprint)
+{
+    SweepRequest req;
+    req.configs = shippedConfigs();
+    ASSERT_EQ(req.configs.size(), 9u);
+    req.workloads = {"database", "tpcw", "specjbb", "specweb"};
+    req.models = {"pc", "wc", "rmo", "wmm"};
+    req.warmupInsts = 600 * 1000;
+    req.measureInsts = 1000 * 1000;
+    req.seed = 42;
+    EXPECT_EQ(sweepRequestFingerprint(req), "f00f2becc66a6007");
 }
 
 TEST(SweepRequestIo, RetiredStreamingKeysAreUnknown)
@@ -477,8 +530,9 @@ expectRemoteMatchesLocal(unsigned drop_after)
     server.stop();
 
     ASSERT_EQ(report.results.size(), expected.size());
-    if (drop_after)
+    if (drop_after) {
         EXPECT_GE(report.reconnects, 1u);
+    }
     for (size_t i = 0; i < expected.size(); ++i) {
         const RunOutcome &want = expected[i];
         const RemoteRunResult &got = report.results[i];

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/workload.hh"
 #include "util/error.hh"
 #include "util/parse.hh"
 
@@ -63,6 +62,9 @@ inline const FlagSpec kChunkInstsFlag{
     "chunk-insts", "N",
     "streaming chunk size in instructions (default 65536);\n"
     "results are identical for every chunk size"};
+inline const FlagSpec kWorkloadFlag{
+    "workload", "database|tpcw|specjbb|specweb|tiny",
+    "workload profile (default database)"};
 inline const FlagSpec kModelFlag{
     "model", "NAME|key=val,...",
     "memory model: preset (pc|wc|rmo|wmm|sc) or descriptor\n"
@@ -153,6 +155,23 @@ class Cli
                  "': expected a decimal number");
         }
         return *v;
+    }
+
+    /**
+     * Flag value (or `def`) through a config-text parser such as
+     * workloadProfileForName: its ConfigError is a usage error (exit
+     * 2) naming the flag, like any other bad flag value.
+     */
+    template <class Parse>
+    auto
+    parsed(const std::string &key, const std::string &def,
+           Parse parse) const
+    {
+        try {
+            return parse(str(key, def));
+        } catch (const ConfigError &e) {
+            fail("--" + key + ": " + e.what());
+        }
     }
 
     bool flag(const std::string &key) const { return has(key); }
@@ -303,22 +322,6 @@ applyRunLengths(const Cli &cli, uint64_t &warmup, uint64_t &measure,
     warmup = cli.num("warmup", 600 * 1000);
     measure = cli.num("measure", 1000 * 1000);
     seed = cli.num("seed", 42);
-}
-
-/** Resolve a workload name to a profile. */
-inline WorkloadProfile
-workloadByName(const Cli &cli, const std::string &name)
-{
-    if (name == "database")
-        return WorkloadProfile::database();
-    if (name == "tpcw")
-        return WorkloadProfile::tpcw();
-    if (name == "specjbb")
-        return WorkloadProfile::specjbb();
-    if (name == "specweb")
-        return WorkloadProfile::specweb();
-    cli.fail("unknown workload '" + name +
-             "' (database|tpcw|specjbb|specweb)");
 }
 
 } // namespace storemlp::tools

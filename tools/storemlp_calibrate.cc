@@ -59,8 +59,7 @@ int
 toolMain(int argc, char **argv)
 {
     Cli cli(argc, argv, {
-        {"workload", "database|tpcw|specjbb|specweb",
-         "workload profile (default database)"},
+        kWorkloadFlag,
         {"profile", "PATH", "start from a custom profile file"},
         {"knob", "NAME",
          "storeColdProb|loadColdProb|instColdProb|lockProb|"
@@ -75,21 +74,13 @@ toolMain(int argc, char **argv)
     if (!cli.has("knob") || !cli.has("metric") || !cli.has("target"))
         cli.fail("--knob, --metric and --target are required");
 
-    WorkloadProfile profile;
-    if (cli.has("profile")) {
-        try {
-            profile = loadWorkloadProfileFile(cli.str("profile", ""));
-        } catch (const ConfigParseError &e) {
-            cli.fail(e.what());
-        }
-    } else {
-        profile = workloadByName(cli, cli.str("workload", "database"));
-    }
+    WorkloadProfile profile = cli.has("profile")
+        ? cli.parsed("profile", "", loadWorkloadProfileFile)
+        : cli.parsed("workload", "database", workloadProfileForName);
 
     std::string knob = cli.str("knob", "");
     std::string metric = cli.str("metric", "");
-    double target = std::strtod(cli.str("target", "0").c_str(),
-                                nullptr);
+    double target = cli.fnum("target", 0.0);
     uint64_t warmup, measure, seed;
     applyRunLengths(cli, warmup, measure, seed);
     uint64_t iters = cli.num("iters", 6);

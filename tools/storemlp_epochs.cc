@@ -14,6 +14,7 @@
 
 #include "cli_util.hh"
 #include "coherence/chip.hh"
+#include "core/config_io.hh"
 #include "core/epoch_log.hh"
 #include "core/mlp_sim.hh"
 #include "stats/stats_json.hh"
@@ -29,8 +30,7 @@ int
 toolMain(int argc, char **argv)
 {
     Cli cli(argc, argv, {
-        {"workload", "database|tpcw|specjbb|specweb",
-         "workload profile (default database)"},
+        kWorkloadFlag,
         {"count", "N", "epochs to print (default 30)"},
         {"prefetch", "sp0|sp1|sp2",
          "store prefetch policy (default sp1)"},
@@ -38,16 +38,14 @@ toolMain(int argc, char **argv)
         kFormatFlag, kOutFlag,
     });
     WorkloadProfile profile =
-        workloadByName(cli, cli.str("workload", "database"));
+        cli.parsed("workload", "database", workloadProfileForName);
     uint64_t count = cli.num("count", 30);
     uint64_t warmup = cli.num("warmup", 600 * 1000);
 
     SimConfig cfg;
-    std::string sp = cli.str("prefetch", "sp1");
-    if (sp == "sp0")
-        cfg.storePrefetch = StorePrefetch::None;
-    else if (sp == "sp2")
-        cfg.storePrefetch = StorePrefetch::AtExecute;
+    cli.parsed("prefetch", "sp1", [&](const std::string &v) {
+        loadField(simConfigFields(), cfg, "storePrefetch", v);
+    });
     cfg.cpiOnChip = profile.cpiOnChip;
 
     GeneratorSource src(profile, cli.num("seed", 42),

@@ -29,8 +29,7 @@ int
 toolMain(int argc, char **argv)
 {
     Cli cli(argc, argv, {
-        {"workload", "database|tpcw|specjbb|specweb",
-         "workload profile (default database)"},
+        kWorkloadFlag,
         {"prefetch", "sp0|sp1|sp2",
          "store prefetch policy (default sp1)"},
         kModelFlag,
@@ -81,91 +80,39 @@ toolMain(int argc, char **argv)
     });
 
     RunSpec spec;
-    if (cli.has("profile")) {
-        try {
-            spec.profile =
-                loadWorkloadProfileFile(cli.str("profile", ""));
-        } catch (const ConfigParseError &e) {
-            cli.fail(e.what());
-        }
-    } else {
-        spec.profile =
-            workloadByName(cli, cli.str("workload", "database"));
-    }
+    spec.profile = cli.has("profile")
+        ? cli.parsed("profile", "", loadWorkloadProfileFile)
+        : cli.parsed("workload", "database", workloadProfileForName);
 
     SimConfig &cfg = spec.config;
-    if (cli.has("config")) {
-        try {
-            cfg = loadSimConfigFile(cli.str("config", ""));
-        } catch (const ConfigParseError &e) {
-            cli.fail(e.what());
+    if (cli.has("config"))
+        cfg = cli.parsed("config", "", loadSimConfigFile);
+    // Flags override the config file only when explicitly given, and
+    // each goes through its config key's codec: a flag accepts exactly
+    // what a .cfg line accepts (u32 range checks, enum tokens).
+    const std::pair<const char *, const char *> key_flags[] = {
+        {"prefetch", "storePrefetch"}, {"model", "model"},
+        {"scout", "scout"},            {"sq", "storeQueueSize"},
+        {"sb", "storeBufferSize"},     {"rob", "robSize"},
+        {"iw", "issueWindowSize"},     {"coalesce", "coalesceBytes"},
+        {"latency", "missLatency"}};
+    for (const auto &[flag, key] : key_flags) {
+        if (cli.has(flag)) {
+            cli.parsed(flag, "", [&](const std::string &v) {
+                loadField(simConfigFields(), cfg, key, v);
+            });
         }
     }
-    // Flags override the config file only when explicitly given.
-    std::string sp = cli.str("prefetch", "");
-    if (cli.has("prefetch")) {
-        if (sp == "sp0")
-            cfg.storePrefetch = StorePrefetch::None;
-        else if (sp == "sp1")
-            cfg.storePrefetch = StorePrefetch::AtRetire;
-        else if (sp == "sp2")
-            cfg.storePrefetch = StorePrefetch::AtExecute;
-        else
-            cli.fail("bad --prefetch");
-    } else {
-        sp = storePrefetchName(cfg.storePrefetch);
-    }
-
-    if (cli.has("model")) {
-        // Unknown presets / malformed descriptors are usage errors
-        // (exit 2), matching every other flag.
-        try {
-            cfg.memoryModel =
-                ModelDescriptor::parse(cli.str("model", ""));
-        } catch (const ConfigError &e) {
-            cli.fail(e.what());
-        }
-    }
-    std::string model = cfg.memoryModel.name;
-
     if (cli.flag("sle"))
         cfg.sle = true;
     if (cli.flag("pps"))
         cfg.prefetchPastSerializing = true;
-
-    std::string scout = cli.str("scout", "");
-    if (cli.has("scout")) {
-        if (scout == "hws0")
-            cfg.scout = ScoutMode::Hws0;
-        else if (scout == "hws1")
-            cfg.scout = ScoutMode::Hws1;
-        else if (scout == "hws2")
-            cfg.scout = ScoutMode::Hws2;
-        else if (scout == "off")
-            cfg.scout = ScoutMode::Off;
-        else
-            cli.fail("bad --scout");
-    } else {
-        scout = scoutModeName(cfg.scout);
-    }
-
-    if (cli.has("sq"))
-        cfg.storeQueueSize = static_cast<uint32_t>(cli.num("sq", 32));
-    if (cli.has("sb"))
-        cfg.storeBufferSize = static_cast<uint32_t>(cli.num("sb", 16));
-    if (cli.has("rob"))
-        cfg.robSize = static_cast<uint32_t>(cli.num("rob", 64));
-    if (cli.has("iw"))
-        cfg.issueWindowSize =
-            static_cast<uint32_t>(cli.num("iw", 32));
-    if (cli.has("coalesce"))
-        cfg.coalesceBytes =
-            static_cast<uint32_t>(cli.num("coalesce", 8));
     if (cli.flag("perfect-stores"))
         cfg.perfectStores = true;
-    if (cli.has("latency"))
-        cfg.missLatency =
-            static_cast<uint32_t>(cli.num("latency", 500));
+    std::string model = cfg.memoryModel.name;
+    std::string sp =
+        cli.str("prefetch", storePrefetchName(cfg.storePrefetch));
+    std::string scout = cli.str("scout", scoutModeName(cfg.scout));
 
     if (cli.has("l1-kb") || cli.has("l2-kb") || cli.has("l2-assoc")) {
         HierarchyConfig hier;

@@ -1,8 +1,8 @@
 /**
  * @file
- * storemlp_sweep: run a whole directory of SimConfig files (e.g.
- * configs/*.cfg) against one or all workloads in a single parallel
- * invocation of the sweep engine. Prints one table per workload
+ * storemlp_sweep: run a whole directory of SimConfig files (e.g. the
+ * .cfg files under configs/) against one or all workloads in a single
+ * parallel invocation of the sweep engine. Prints one table per workload
  * (config x headline metrics, with per-run wall-clock), CSV rows, or
  * — with --format=json — one versioned JSON document per run (JSON
  * lines) followed by an engine summary document.
@@ -72,29 +72,16 @@ runCoresSweep(const Cli &cli, const SweepRequest &req)
     }
 
     std::vector<uint32_t> core_counts;
-    {
-        std::string list = cli.str("cores", "");
-        size_t pos = 0;
-        while (pos <= list.size()) {
-            size_t end = list.find(',', pos);
-            std::string tok = list.substr(
-                pos, end == std::string::npos ? std::string::npos
-                                              : end - pos);
-            if (!tok.empty()) {
-                std::optional<uint64_t> v = parseU64Strict(tok);
-                if (!v || !*v) {
-                    cli.fail("bad --cores entry '" + tok +
-                             "': expected a positive integer");
-                }
-                core_counts.push_back(static_cast<uint32_t>(*v));
-            }
-            if (end == std::string::npos)
-                break;
-            pos = end + 1;
+    for (const std::string &tok : splitList(cli.str("cores", ""), ',')) {
+        std::optional<uint64_t> v = parseU64Strict(tok);
+        if (!v || !*v || *v > UINT32_MAX) {
+            cli.fail("bad --cores entry '" + tok +
+                     "': expected a positive 32-bit integer");
         }
-        if (core_counts.empty())
-            cli.fail("--cores requires at least one core count");
+        core_counts.push_back(static_cast<uint32_t>(*v));
     }
+    if (core_counts.empty())
+        cli.fail("--cores requires at least one core count");
     uint64_t chips_flag = cli.num("chips", 0);
 
     struct McRun
@@ -110,7 +97,6 @@ runCoresSweep(const Cli &cli, const SweepRequest &req)
     };
     std::vector<McRun> runs;
     for (const std::string &wl : req.workloads) {
-        (void)workloadProfileForName(wl);
         for (const SweepConfigEntry &entry : configs) {
             for (uint32_t n : core_counts) {
                 if (chips_flag > n) {

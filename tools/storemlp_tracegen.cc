@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "cli_util.hh"
+#include "core/config_io.hh"
 #include "stats/stats_json.hh"
 #include "trace/generator.hh"
 #include "trace/rewriter.hh"
@@ -26,8 +27,7 @@ int
 toolMain(int argc, char **argv)
 {
     Cli cli(argc, argv, {
-        {"workload", "database|tpcw|specjbb|specweb",
-         "workload profile (default database)"},
+        kWorkloadFlag,
         {"count", "N", "instructions to generate (default 1M)"},
         kSeedFlag,
         {"chip", "N", "chip id for region placement (default 0)"},
@@ -40,7 +40,7 @@ toolMain(int argc, char **argv)
         cli.fail("--out is required");
 
     WorkloadProfile profile =
-        workloadByName(cli, cli.str("workload", "database"));
+        cli.parsed("workload", "database", workloadProfileForName);
     uint64_t seed = cli.num("seed", 42);
     uint64_t count = cli.num("count", 1000 * 1000);
     uint64_t chip = cli.num("chip", 0);

@@ -29,7 +29,7 @@ sweepRequestFlags()
     return {
         {"dir", "PATH",
          "directory of *.cfg SimConfig files (default: configs)"},
-        {"workload", "all|database|tpcw|specjbb|specweb",
+        {"workload", "all|database|tpcw|specjbb|specweb|tiny",
          "workload(s) to sweep (default all)"},
         {"models", "LIST",
          "also sweep the memory-model axis: run every config under\n"
@@ -81,25 +81,14 @@ sweepRequestFromFlags(const Cli &cli)
     if (wl == "all") {
         req.workloads = {"database", "tpcw", "specjbb", "specweb"};
     } else {
-        (void)workloadByName(cli, wl); // validate (exit 2 on typo)
+        (void)cli.parsed("workload", "", workloadProfileForName);
         req.workloads = {wl};
     }
 
     if (cli.has("models")) {
         std::string list = cli.str("models", "");
         char sep = list.find(';') != std::string::npos ? ';' : ',';
-        size_t pos = 0;
-        while (pos <= list.size()) {
-            size_t end = list.find(sep, pos);
-            std::string tok = list.substr(
-                pos, end == std::string::npos ? std::string::npos
-                                              : end - pos);
-            if (!tok.empty())
-                req.models.push_back(tok);
-            if (end == std::string::npos)
-                break;
-            pos = end + 1;
-        }
+        req.models = splitList(list, sep);
         if (req.models.empty())
             cli.fail("--models requires at least one model");
         for (const std::string &m : req.models) {
