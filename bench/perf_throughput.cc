@@ -3,11 +3,11 @@
  * Simulator performance harness (google-benchmark): trace generation
  * throughput, cache-only replay throughput, full epoch-engine
  * throughput on each commercial workload, one end-to-end streamed
- * run (generator, WC rewrite, lock-role stage, engine), and on-disk
- * v4 trace decode throughput.
+ * run (generator, WC rewrite, lock-role stage, engine), v4 trace
+ * encode throughput, and on-disk v4 trace decode throughput.
  *
  * The decode benchmark defaults to a generated database-profile trace
- * written to a temp file; pass `--trace PATH` to measure decode of an
+ * written to a temp file unique to the process; pass `--trace PATH` to measure decode of an
  * existing trace file instead (the flag is consumed here, before
  * google-benchmark parses the rest).
  */
@@ -15,9 +15,15 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <vector>
+
+#include <stdlib.h>
+#include <unistd.h>
 
 #include "coherence/chip.hh"
 #include "core/mlp_sim.hh"
@@ -149,6 +155,43 @@ BM_Runner_StreamedWcSle(benchmark::State &state)
 }
 BENCHMARK(BM_Runner_StreamedWcSle);
 
+/** A sink that keeps nothing, so only the writer is timed. */
+class NullBuf : public std::streambuf
+{
+  protected:
+    std::streamsize
+    xsputn(const char *, std::streamsize n) override
+    {
+        return n;
+    }
+    int_type
+    overflow(int_type c) override
+    {
+        return traits_type::not_eof(c);
+    }
+};
+
+/**
+ * v4 encode of 1M in-memory database records at the chunk size in the
+ * argument: the whole writer (chunk encode, index, body buffering,
+ * container write). Items are records.
+ */
+void
+BM_TraceEncode_V4(benchmark::State &state)
+{
+    static const Trace trace =
+        SyntheticTraceGenerator(WorkloadProfile::database(), 1)
+            .generate(1000000);
+    uint64_t chunk = static_cast<uint64_t>(state.range(0));
+    NullBuf buf;
+    std::ostream os(&buf);
+    for (auto _ : state)
+        writeTraceV4(os, trace, "bench", chunk);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(trace.size()));
+}
+BENCHMARK(BM_TraceEncode_V4)->Arg(4096)->Arg(65536);
+
 /**
  * Full streaming decode of an on-disk trace: construct the source
  * (header + index parse) and walk every record, exactly what a
@@ -201,7 +244,17 @@ main(int argc, char **argv)
     if (trace_path.empty()) {
         SyntheticTraceGenerator gen(WorkloadProfile::database(), 1);
         Trace trace = gen.generate(200000);
-        temp_file = "/tmp/storemlp_perf_decode_v4.trc";
+        // A name of its own, so concurrent runs cannot overwrite each
+        // other's input.
+        temp_file = (std::filesystem::temp_directory_path() /
+                     "storemlp_perf_decode_v4_XXXXXX")
+                        .string();
+        int fd = mkstemp(temp_file.data());
+        if (fd < 0) {
+            std::perror("mkstemp");
+            return 1;
+        }
+        close(fd);
         writeTraceFileV4(temp_file, trace, "bench");
         benchmark::RegisterBenchmark(
             "BM_TraceDecode_V4Chunked",

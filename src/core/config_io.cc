@@ -240,9 +240,12 @@ workloadProfileFields()
         ROW(hotCodeWindowBytes), ROW(hotCodeJumpProb),
         ROW(storeMissRegionBytes), ROW(sharedStoreFrac),
         ROW(sharedStoreRegionBytes), ROW(sharedHotFrac),
-        ROW(sharedHotBytes), ROW(lockProb), ROW(lockCount), ROW(csBodyLen),
-        ROW(membarProb), ROW(easyBranchFrac), ROW(branchBias),
-        ROW(staticBranches), ROW(branchDependsOnLoadProb), ROW(depNearProb),
+        ROW(sharedHotBytes), ROW(sharedLoadFrac), ROW(lockProb),
+        ROW(lockCount), ROW(csBodyLen), ROW(membarProb),
+        ROW(easyBranchFrac), ROW(branchBias), ROW(staticBranches),
+        ROW(branchDependsOnLoadProb), ROW(depNearProb),
+        ROW(targetStoresPer100), ROW(targetStoreMissPer100),
+        ROW(targetLoadMissPer100), ROW(targetInstMissPer100),
         ROW(cpiOnChip)};
     return table;
 }

@@ -230,19 +230,16 @@ scanLocks(TraceSource &src, Fn &&fn)
 {
     LockRoleSource roles(src);
     LockSummary out;
-    for (uint64_t k = 0;; ++k) {
-        std::shared_ptr<const TraceChunk> c = roles.fetch(k);
-        if (!c)
-            break;
-        TraceChunk::LaneRefs lanes = c->lanes();
-        for (uint64_t i = 0; i < c->count; ++i) {
-            fn(c->data[i]);
+    forEachChunk(roles, [&](const TraceChunk &c) {
+        TraceChunk::LaneRefs lanes = c.lanes();
+        for (uint64_t i = 0; i < c.count; ++i) {
+            fn(c.data[i]);
             if (lanes.role[i] == static_cast<uint8_t>(LockRole::Release)) {
                 ++out.sections;
                 out.totalLen += lanes.acqDist[i];
             }
         }
-    }
+    });
     return out;
 }
 

@@ -77,6 +77,9 @@ class Trace
         uint64_t branches = 0;
         uint64_t atomics = 0;
         uint64_t barriers = 0;
+
+        /** Count records[0..n) in; a stream can tally chunk by chunk. */
+        void add(const TraceRecord *records, uint64_t n);
     };
     Mix mix() const;
 

@@ -12,7 +12,9 @@
 #include "trace/trace_codec.hh"
 
 #include <bit>
+#include <cassert>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "trace/trace_format.hh"
@@ -52,14 +54,16 @@ fail(const std::string &msg)
     throw TraceFormatError(msg);
 }
 
-void
-appendVarint(std::vector<uint8_t> &out, uint64_t v)
+/** Write `v` as a LEB128 varint at `p`; returns the byte after it. */
+inline uint8_t *
+putVarint(uint8_t *p, uint64_t v)
 {
     while (v >= 0x80) {
-        out.push_back(static_cast<uint8_t>(v) | 0x80);
+        *p++ = static_cast<uint8_t>(v) | 0x80;
         v >>= 7;
     }
-    out.push_back(static_cast<uint8_t>(v));
+    *p++ = static_cast<uint8_t>(v);
+    return p;
 }
 
 // ---- control-byte scan ------------------------------------------------
@@ -397,76 +401,87 @@ V4IndexValidator::finish(uint64_t body_bytes) const
 
 // ---- encode -----------------------------------------------------------
 
-uint64_t
-encodeV4Chunk(std::vector<uint8_t> &out, const TraceRecord *records,
-              uint64_t n, CodecSeeds &seeds)
+std::span<const uint8_t>
+V4ChunkEncoder::encode(const TraceRecord *records, uint64_t n,
+                       CodecSeeds &seeds)
 {
-    size_t base = out.size();
-    out.resize(base + kChunkHeaderBytesV4);
-    out.reserve(base + kChunkHeaderBytesV4 + 6 * n);
-
-    std::vector<uint8_t> pcs, addrs, regs, flags, aux;
-    pcs.reserve(n / 4);
-    addrs.reserve(n);
-    regs.reserve(3 * n);
+    // Worst-case section capacities; 10-byte varints. Every section
+    // fits its u32 length field because n <= kMaxChunkInstsV4.
+    assert(n >= 1 && n <= kMaxChunkInstsV4);
+    uint64_t need = kChunkHeaderBytesV4 + kMaxRecordBytesV4 * n;
+    if (_buf.size() < need)
+        _buf.resize(need);
+    uint8_t *const base = _buf.data();
+    uint8_t *const ctrl0 = base + kChunkHeaderBytesV4;
+    uint8_t *const pcs0 = ctrl0 + n;
+    uint8_t *const addrs0 = pcs0 + 10 * n;
+    uint8_t *const regs0 = addrs0 + 10 * n;
+    uint8_t *const flags0 = regs0 + 3 * n;
+    uint8_t *const aux0 = flags0 + n;
+    uint8_t *pcs = pcs0, *addrs = addrs0, *regs = regs0,
+            *flags = flags0, *aux = aux0;
 
     uint64_t prev_pc = seeds.pc;
     uint64_t prev_addr = seeds.addr;
     for (uint64_t i = 0; i < n; ++i) {
         const TraceRecord &r = records[i];
-        bool seq = r.pc == prev_pc + 4;
-        bool has_regs = r.dst || r.src1 || r.src2 || r.size;
         uint8_t ctrl = static_cast<uint8_t>(r.cls);
-        if (seq) {
+        if (r.pc == prev_pc + 4) {
             ctrl |= kCtrlSeqPc;
         } else {
-            appendVarint(pcs, zigzag(static_cast<int64_t>(r.pc) -
-                                     static_cast<int64_t>(prev_pc)));
+            pcs = putVarint(pcs, zigzag(static_cast<int64_t>(r.pc) -
+                                        static_cast<int64_t>(prev_pc)));
         }
         prev_pc = r.pc;
 
         if (isMemClass(r.cls)) {
-            appendVarint(addrs, r.addr ^ prev_addr);
+            addrs = putVarint(addrs, r.addr ^ prev_addr);
             prev_addr = r.addr;
         }
-        if (has_regs) {
+        if (r.dst | r.src1 | r.src2 | r.size) {
             ctrl |= kCtrlRegs;
             if ((r.dst | r.src1 | r.src2) & ~0x3f)
                 fail("register id out of range for v4 encoding "
                      "(ids must be < 64)");
             uint8_t code = sizeCodeFor(r.size);
             if (code == kSizeCodeEscape)
-                aux.push_back(r.size);
-            regs.push_back(
-                static_cast<uint8_t>(r.dst | ((code & 3) << 6)));
-            regs.push_back(static_cast<uint8_t>(
-                r.src1 | (((code >> 2) & 3) << 6)));
-            regs.push_back(r.src2);
+                *aux++ = r.size;
+            regs[0] = static_cast<uint8_t>(r.dst | ((code & 3) << 6));
+            regs[1] = static_cast<uint8_t>(r.src1 |
+                                           (((code >> 2) & 3) << 6));
+            regs[2] = r.src2;
+            regs += 3;
         }
         if (r.flags) {
             ctrl |= kCtrlFlags;
-            flags.push_back(r.flags);
+            *flags++ = r.flags;
         }
-        out.push_back(ctrl);
+        ctrl0[i] = ctrl;
     }
 
-    for (const std::vector<uint8_t> *sec :
-         {&pcs, &addrs, &regs, &flags, &aux}) {
-        if (sec->size() > UINT32_MAX)
-            fail("v4 chunk section exceeds 4 GiB; use a smaller "
-                 "chunk size");
-        out.insert(out.end(), sec->begin(), sec->end());
+    // Close the sections up behind the control bytes, in wire order
+    // (the pc section is already in place).
+    struct Section
+    {
+        const uint8_t *begin, *end;
+    };
+    const Section sections[] = {{pcs0, pcs},
+                                {addrs0, addrs},
+                                {regs0, regs},
+                                {flags0, flags},
+                                {aux0, aux}};
+    uint8_t *out = pcs0;
+    for (size_t s = 0; s < std::size(sections); ++s) {
+        size_t len = static_cast<size_t>(sections[s].end -
+                                         sections[s].begin);
+        std::memmove(out, sections[s].begin, len);
+        out += len;
+        putU32(base + 4 * s, static_cast<uint32_t>(len));
     }
-    putU32(out.data() + base, static_cast<uint32_t>(pcs.size()));
-    putU32(out.data() + base + 4, static_cast<uint32_t>(addrs.size()));
-    putU32(out.data() + base + 8, static_cast<uint32_t>(regs.size()));
-    putU32(out.data() + base + 12,
-           static_cast<uint32_t>(flags.size()));
-    putU32(out.data() + base + 16, static_cast<uint32_t>(aux.size()));
 
     seeds.pc = prev_pc;
     seeds.addr = prev_addr;
-    return out.size() - base;
+    return {base, static_cast<size_t>(out - base)};
 }
 
 // ---- decode -----------------------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * v4 chunk codec: encode/decode one independently decodable
  * compressed chunk of TraceRecords, and validate a v4 chunk index.
- * Shared by the whole-trace reader/writer (trace_io.cc) and the
+ * Shared by the trace reader/writer (trace_io.cc) and the
  * streaming chunk reader (trace_file_source.cc); the wire layout is
  * specified in docs/TRACE_FORMAT.md.
  *
@@ -19,6 +19,7 @@
 #define STOREMLP_TRACE_TRACE_CODEC_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "trace/inst.hh"
@@ -86,14 +87,31 @@ class V4IndexValidator
 };
 
 /**
- * Append one encoded chunk for records[0..n) to `out` and return its
- * encoded byte length. `seeds` carries the cross-chunk decode state:
- * it holds the entering values on call (what the chunk's index entry
- * records) and the exiting values on return.
+ * Reusable v4 chunk encoder. One scratch buffer, sized once to the
+ * worst case of the largest chunk seen (kMaxRecordBytesV4 per
+ * record), holds every section at a fixed offset; the record loop
+ * writes each section by pointer bump with no per-byte capacity
+ * check, then the sections are closed up behind the control bytes.
+ * Reusing one encoder across chunks allocates nothing after the
+ * first chunk.
  */
-uint64_t encodeV4Chunk(std::vector<uint8_t> &out,
-                       const TraceRecord *records, uint64_t n,
-                       CodecSeeds &seeds);
+class V4ChunkEncoder
+{
+  public:
+    /**
+     * Encode records[0..n) as one chunk and return its bytes, valid
+     * until the next call; 1 <= n <= trace_format::kMaxChunkInstsV4.
+     * `seeds` carries the cross-chunk decode state: it holds the
+     * entering values on call (what the chunk's index entry records)
+     * and the exiting values on return. Throws TraceFormatError on a
+     * register id the format cannot hold (>= 64).
+     */
+    std::span<const uint8_t> encode(const TraceRecord *records,
+                                    uint64_t n, CodecSeeds &seeds);
+
+  private:
+    std::vector<uint8_t> _buf;
+};
 
 /**
  * Decode one chunk of exactly `n` records from the `len` bytes at

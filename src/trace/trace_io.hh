@@ -10,6 +10,7 @@
 #ifndef STOREMLP_TRACE_TRACE_IO_HH
 #define STOREMLP_TRACE_TRACE_IO_HH
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 
@@ -28,13 +29,17 @@ class TraceFormatError : public SimError
     }
 };
 
+class TraceChunk;
+class TraceSource;
+
 /**
  * Serialize in the chunk-indexed compressed v4 container: an envelope
  * (provenance fingerprint, record count, chunk geometry), a per-chunk
  * index (record count, byte extent, pc/address seeds) and
  * independently decodable compressed chunks of `chunk_insts` records
  * each; see docs/TRACE_FORMAT.md. Throws TraceFormatError if
- * `chunk_insts` is 0 or exceeds trace_format::kMaxChunkInstsV4.
+ * `chunk_insts` is 0 or exceeds trace_format::kMaxChunkInstsV4, or if
+ * the fingerprint is longer than trace_format::kMaxMetaBytes.
  */
 void writeTraceV4(std::ostream &os, const Trace &trace,
                   const std::string &fingerprint,
@@ -42,6 +47,28 @@ void writeTraceV4(std::ostream &os, const Trace &trace,
 void writeTraceFileV4(const std::string &path, const Trace &trace,
                       const std::string &fingerprint,
                       uint64_t chunk_insts = uint64_t{1} << 16);
+
+/** Called with each source chunk as the streaming writer encodes it. */
+using ChunkObserver = std::function<void(const TraceChunk &)>;
+
+/**
+ * Stream `src` from its first chunk to its end into the same
+ * container, in file chunks of `chunk_insts` records whatever chunk
+ * size `src` serves: the bytes equal those of the Trace overload on
+ * the materialized stream. Time is linear in the record count, and
+ * the writer holds only the chunk index and the compressed body
+ * (about 5 bytes per record) until the envelope, which carries the
+ * count, can be written. `each_chunk`, if set, sees every source
+ * chunk once, in order.
+ */
+void writeTraceV4(std::ostream &os, TraceSource &src,
+                  const std::string &fingerprint,
+                  uint64_t chunk_insts = uint64_t{1} << 16,
+                  const ChunkObserver &each_chunk = {});
+void writeTraceFileV4(const std::string &path, TraceSource &src,
+                      const std::string &fingerprint,
+                      uint64_t chunk_insts = uint64_t{1} << 16,
+                      const ChunkObserver &each_chunk = {});
 
 /** Deserialize a v4 trace. Throws TraceFormatError on anything else. */
 Trace readTrace(std::istream &is);

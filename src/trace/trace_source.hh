@@ -355,6 +355,22 @@ class GeneratorSource : public TraceSource
 };
 
 /**
+ * Walk every chunk of a source in order, from the first to the end of
+ * the stream, invoking `fn(chunk)` for each.
+ */
+template <typename Fn>
+void
+forEachChunk(TraceSource &src, Fn &&fn)
+{
+    for (uint64_t k = 0;; ++k) {
+        std::shared_ptr<const TraceChunk> c = src.fetch(k);
+        if (!c)
+            return;
+        fn(*c);
+    }
+}
+
+/**
  * Walk records [begin, end) of a source, invoking `fn(record)` for
  * each; stops early at end-of-stream. Returns the number of records
  * visited.

@@ -9,13 +9,14 @@
  */
 
 #include <iostream>
+#include <memory>
 
 #include "cli_util.hh"
 #include "core/config_io.hh"
 #include "stats/stats_json.hh"
-#include "trace/generator.hh"
 #include "trace/rewriter.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_source.hh"
 
 using namespace storemlp;
 using namespace storemlp::tools;
@@ -44,40 +45,37 @@ toolMain(int argc, char **argv)
     uint64_t seed = cli.num("seed", 42);
     uint64_t count = cli.num("count", 1000 * 1000);
     uint64_t chip = cli.num("chip", 0);
-    SyntheticTraceGenerator gen(profile, seed,
-                                static_cast<uint32_t>(chip));
-    Trace trace = gen.generate(count);
-
-    if (cli.flag("wc"))
-        trace = TraceRewriter().toWeakConsistency(trace);
-
-    // Same provenance string GeneratorSource streams under, so a file
-    // round-trip is cache-compatible with the equivalent synthesized
-    // source.
-    std::string fp = profile.cacheKey() +
-        "|seed=" + std::to_string(seed) +
-        "|n=" + std::to_string(count) +
-        "|wc=" + (cli.flag("wc") ? "1" : "0") +
-        "|chip=" + std::to_string(chip);
+    bool wc = cli.flag("wc");
+    // The same source chain as Runner::makeSource: the records are
+    // generated, rewritten and encoded chunk by chunk, never held
+    // whole. The fingerprint is the one the synthesized source
+    // streams under, so a file round-trip is cache-compatible with it.
+    std::unique_ptr<TraceSource> src = std::make_unique<GeneratorSource>(
+        profile, seed, count, static_cast<uint32_t>(chip));
+    if (wc)
+        src = std::make_unique<WcRewriteSource>(std::move(src));
+    Trace::Mix mix;
     try {
-        writeTraceFileV4(cli.str("out", ""), trace, fp,
-                         cli.num("chunk-insts", 65536));
+        writeTraceFileV4(cli.str("out", ""), *src, src->fingerprint(),
+                         cli.num("chunk-insts", 65536),
+                         [&](const TraceChunk &c) {
+                             mix.add(c.data, c.count);
+                         });
     } catch (const TraceFormatError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
     }
 
-    Trace::Mix mix = trace.mix();
     OutFormat fmt = outFormat(cli);
     if (fmt != OutFormat::Text) {
         StatsMeta meta = {
             {"tool", "storemlp_tracegen"},
             {"workload", profile.name},
-            {"model", cli.flag("wc") ? "wc" : "pc"},
+            {"model", wc ? "wc" : "pc"},
             {"file", cli.str("out", "")},
         };
         StatsRegistry reg;
-        reg.counter("trace.records", trace.size());
+        reg.counter("trace.records", mix.total);
         reg.counter("trace.loads", mix.loads);
         reg.counter("trace.stores", mix.stores);
         reg.counter("trace.branches", mix.branches);
@@ -90,9 +88,8 @@ toolMain(int argc, char **argv)
         return 0;
     }
 
-    std::cout << "wrote " << trace.size() << " records ("
-              << profile.name << (cli.flag("wc") ? ", WC" : ", PC/TSO")
-              << ")\n"
+    std::cout << "wrote " << mix.total << " records (" << profile.name
+              << (wc ? ", WC" : ", PC/TSO") << ")\n"
               << "  loads " << mix.loads << ", stores " << mix.stores
               << ", branches " << mix.branches << ", atomics "
               << mix.atomics << ", barriers " << mix.barriers << "\n";
