@@ -39,7 +39,8 @@ main(int argc, char **argv)
             auto trace = sweepEngine().traceCache().getOrBuild(
                 Runner::traceCacheKey(key),
                 [&] { return Runner::buildTrace(key); });
-            rates[i] = Runner::measureMissRates(*trace, scale.warmup);
+            MaterializedSource src(trace);
+            rates[i] = Runner::measureMissRates(src, scale.warmup);
         });
     }
     sweepTasks(tasks);

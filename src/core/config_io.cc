@@ -54,11 +54,15 @@ template <class E, size_t N>
 E
 fromToken(const Token<E> (&table)[N], const std::string &text)
 {
-    std::string all;
     for (const Token<E> &t : table) {
         if (text == t.text)
             return t.value;
-        all += (all.empty() ? "" : "|") + std::string(t.text);
+    }
+    std::string all;
+    for (const Token<E> &t : table) {
+        if (!all.empty())
+            all += '|';
+        all.append(t.text);
     }
     throw ConfigError("'" + text + "' is not one of " + all);
 }

@@ -205,44 +205,31 @@ RunOutput::exportStats(StatsRegistry &reg) const
 }
 
 Runner::MissRates
-Runner::measureMissRates(const WorkloadProfile &profile, uint64_t seed,
-                         uint64_t warmup_insts, uint64_t measure_insts)
-{
-    SyntheticTraceGenerator gen(profile, seed, 0);
-    return measureMissRates(gen.generate(warmup_insts + measure_insts),
-                            warmup_insts);
-}
-
-Runner::MissRates
-Runner::measureMissRates(const Trace &trace, uint64_t warmup_insts)
+Runner::measureMissRates(TraceSource &source, uint64_t warmup_insts)
 {
     CacheHierarchy hier;
+    uint64_t seen = 0;
     uint64_t stores = 0;
-
-    auto access = [&](const TraceRecord &r) {
-        hier.instFetch(r.pc);
-        if (isLoadClass(r.cls))
-            hier.load(r.addr);
-        if (isStoreClass(r.cls))
-            hier.store(r.addr);
-    };
-
-    uint64_t warmup_end = std::min<uint64_t>(warmup_insts, trace.size());
-    for (uint64_t i = 0; i < warmup_end; ++i)
-        access(trace[i]);
-    hier.resetStats();
-
-    for (uint64_t i = warmup_end; i < trace.size(); ++i) {
-        access(trace[i]);
-        if (isStoreClass(trace[i].cls))
-            ++stores;
-    }
+    forEachChunk(source, [&](const TraceChunk &c) {
+        for (uint64_t i = 0; i < c.count; ++i, ++seen) {
+            const TraceRecord &r = c.data[i];
+            if (seen == warmup_insts)
+                hier.resetStats();
+            hier.instFetch(r.pc);
+            if (isLoadClass(r.cls))
+                hier.load(r.addr);
+            if (isStoreClass(r.cls)) {
+                hier.store(r.addr);
+                if (seen >= warmup_insts)
+                    ++stores;
+            }
+        }
+    });
 
     MissRates rates;
-    uint64_t measured = trace.size() - warmup_end;
-    if (!measured)
+    if (seen <= warmup_insts)
         return rates;
-    double n = static_cast<double>(measured);
+    double n = static_cast<double>(seen - warmup_insts);
     rates.storesPer100 = 100.0 * static_cast<double>(stores) / n;
     rates.storeMissPer100 =
         100.0 * static_cast<double>(hier.storeL2Misses()) / n;

@@ -181,13 +181,11 @@ class Runner
         double loadMissPer100 = 0.0;
         double instMissPer100 = 0.0;
     };
-    static MissRates measureMissRates(const WorkloadProfile &profile,
-                                      uint64_t seed,
-                                      uint64_t warmup_insts,
-                                      uint64_t measure_insts);
-
-    /** Same measurement over a prebuilt (shared) trace. */
-    static MissRates measureMissRates(const Trace &trace,
+    /**
+     * Walks `source` once: its first `warmup_insts` records warm the
+     * hierarchy, the rest are measured (all rates 0 if none are).
+     */
+    static MissRates measureMissRates(TraceSource &source,
                                       uint64_t warmup_insts);
 };
 

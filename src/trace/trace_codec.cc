@@ -384,15 +384,11 @@ V4IndexValidator::feed(const V4IndexEntry &e, uint64_t idx)
              std::to_string(min_len) + ", " + std::to_string(max_len) +
              "]");
     _nextOff += e.byteLen;
-    ++_fed;
 }
 
 void
 V4IndexValidator::finish(uint64_t body_bytes) const
 {
-    if (_fed != _chunkCount)
-        fail("v4 chunk index truncated (" + std::to_string(_fed) +
-             " of " + std::to_string(_chunkCount) + " entries)");
     if (_nextOff != body_bytes)
         fail("v4 chunk index does not match stream size (chunks claim " +
              std::to_string(_nextOff) + " of " +

@@ -1,16 +1,16 @@
 /**
  * @file
- * Streaming file source implementation.
+ * The v4 reader: StreamingFileSource's one envelope and index parse,
+ * and the whole-trace readers and header probe built on it.
  */
 
 #include "trace/trace_file_source.hh"
 
 #include <algorithm>
-#include <fstream>
+#include <istream>
 
 #include "trace/trace_codec.hh"
 #include "trace/trace_format.hh"
-#include "trace/trace_io.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define STOREMLP_HAVE_MMAP 1
@@ -20,6 +20,7 @@
 #include <unistd.h>
 #else
 #define STOREMLP_HAVE_MMAP 0
+#include <fstream>
 #endif
 
 namespace storemlp
@@ -38,61 +39,102 @@ v4Entry(const uint8_t *data, uint64_t index_off, uint64_t idx)
                                          idx * kIndexEntryBytesV4);
 }
 
+/**
+ * Every byte left in `is`, read in fixed blocks, so memory follows
+ * the bytes actually present whatever a header claims.
+ */
+std::vector<uint8_t>
+readAll(std::istream &is)
+{
+    constexpr size_t kBlockBytes = size_t{1} << 16;
+    std::vector<uint8_t> bytes;
+    while (is) {
+        size_t at = bytes.size();
+        bytes.resize(at + kBlockBytes);
+        is.read(reinterpret_cast<char *>(bytes.data() + at), kBlockBytes);
+        bytes.resize(at + static_cast<size_t>(is.gcount()));
+    }
+    if (is.bad())
+        throw TraceFormatError("trace read failed");
+    return bytes;
+}
+
+void
+unmap(const uint8_t *data, uint64_t bytes)
+{
+#if STOREMLP_HAVE_MMAP
+    ::munmap(const_cast<uint8_t *>(data), bytes);
+#else
+    (void)data;
+    (void)bytes;
+#endif
+}
+
 } // namespace
 
 StreamingFileSource::StreamingFileSource(const std::string &path)
     : TraceSource(kDefaultChunkInsts), _path(path)
 {
 #if STOREMLP_HAVE_MMAP
-    _fd = ::open(path.c_str(), O_RDONLY);
-    if (_fd < 0)
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0)
         throw TraceFormatError("cannot open for read: " + path);
     struct stat st;
-    if (::fstat(_fd, &st) != 0 || st.st_size < 0) {
-        ::close(_fd);
-        _fd = -1;
+    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
+        ::close(fd);
         throw TraceFormatError("cannot stat: " + path);
     }
     _fileBytes = static_cast<uint64_t>(st.st_size);
-    if (_fileBytes > 0) {
-        void *map = ::mmap(nullptr, _fileBytes, PROT_READ, MAP_PRIVATE,
-                           _fd, 0);
-        if (map == MAP_FAILED) {
-            ::close(_fd);
-            _fd = -1;
-            throw TraceFormatError("cannot mmap: " + path);
-        }
-        _data = static_cast<const uint8_t *>(map);
-        _mapped = true;
-    }
+    void *map = _fileBytes ? ::mmap(nullptr, _fileBytes, PROT_READ,
+                                    MAP_PRIVATE, fd, 0)
+                           : nullptr;
+    ::close(fd); // the mapping outlives the descriptor
+    if (map == MAP_FAILED)
+        throw TraceFormatError("cannot mmap: " + path);
+    _data = static_cast<const uint8_t *>(map);
+    _mapped = map != nullptr;
 #else
     std::ifstream ifs(path, std::ios::binary);
     if (!ifs)
         throw TraceFormatError("cannot open for read: " + path);
-    ifs.seekg(0, std::ios::end);
-    _fileBytes = static_cast<uint64_t>(ifs.tellg());
-    ifs.seekg(0);
-    _fallback.resize(_fileBytes);
-    if (_fileBytes)
-        ifs.read(reinterpret_cast<char *>(_fallback.data()),
-                 static_cast<std::streamsize>(_fileBytes));
-    if (!ifs)
-        throw TraceFormatError("read failed: " + path);
-    _data = _fallback.data();
+    _bytes = readAll(ifs);
+    _data = _bytes.data();
+    _fileBytes = _bytes.size();
 #endif
+    try {
+        parse();
+    } catch (...) {
+        // A constructor that throws runs no destructor.
+        if (_mapped)
+            unmap(_data, _fileBytes);
+        throw;
+    }
+}
 
-    // ---- parse the header from the mapping ----
+StreamingFileSource::StreamingFileSource(std::vector<uint8_t> bytes)
+    : TraceSource(kDefaultChunkInsts), _bytes(std::move(bytes))
+{
+    _data = _bytes.data();
+    _fileBytes = _bytes.size();
+    parse();
+}
+
+void
+StreamingFileSource::parse()
+{
     if (_fileBytes < kMagicBytes)
         throw TraceFormatError("bad trace magic");
     checkMagic(_data);
     uint64_t off = kMagicBytes;
-    if (off + 5 > _fileBytes)
+    if (off == _fileBytes)
         throw TraceFormatError("truncated trace header");
     uint8_t fmt = _data[off++];
     if (fmt != kBodyChunked) {
         throw TraceFormatError("unknown v4 body format " +
                                std::to_string(fmt));
     }
+    if (off + 4 > _fileBytes)
+        throw TraceFormatError("truncated trace header");
     uint32_t len = getU32(_data + off);
     off += 4;
     if (len > kMaxMetaBytes) {
@@ -110,7 +152,10 @@ StreamingFileSource::StreamingFileSource(const std::string &path)
     _indexOff = off + 24;
 
     // The whole index validated in place — O(index) work, no heap:
-    // entries are re-read from the mapping at fetch time.
+    // entries are re-read from the image at fetch time. Every record
+    // occupies at least one body byte and every chunk one index
+    // entry, so both counts are checked against the bytes present
+    // before any entry is read.
     trace_codec::V4IndexValidator val(_count, chunk_insts, _chunkCount);
     uint64_t remaining = _fileBytes - _indexOff;
     if (_count > remaining) {
@@ -132,21 +177,31 @@ StreamingFileSource::StreamingFileSource(const std::string &path)
     // Chunking is non-semantic; serve the file's own geometry so
     // every fetch is one index lookup plus one chunk decode.
     _chunkInsts = chunk_insts;
-
-    if (_fingerprint.empty()) {
-        _fingerprint =
-            "file:" + _path + "|n=" + std::to_string(_count);
-    }
 }
 
 StreamingFileSource::~StreamingFileSource()
 {
-#if STOREMLP_HAVE_MMAP
     if (_mapped)
-        ::munmap(const_cast<uint8_t *>(_data), _fileBytes);
-    if (_fd >= 0)
-        ::close(_fd);
-#endif
+        unmap(_data, _fileBytes);
+}
+
+std::string
+StreamingFileSource::fingerprint() const
+{
+    if (!_fingerprint.empty())
+        return _fingerprint;
+    return "file:" + _path + "|n=" + std::to_string(_count);
+}
+
+TraceFileInfo
+StreamingFileSource::info() const
+{
+    return {.version = 4,
+            .records = _count,
+            .fileBytes = _fileBytes,
+            .chunks = _chunkCount,
+            .chunkInsts = _chunkInsts,
+            .fingerprint = _fingerprint};
 }
 
 void
@@ -224,6 +279,26 @@ StreamingFileSource::fetch(uint64_t chunk_idx)
     readAhead(chunk_idx + 1);
     releaseBehind(chunk_idx);
     return std::make_shared<const TraceChunk>(first, std::move(records));
+}
+
+Trace
+readTrace(std::istream &is)
+{
+    StreamingFileSource src(readAll(is));
+    return materializeSource(src);
+}
+
+Trace
+readTraceFile(const std::string &path)
+{
+    StreamingFileSource src(path);
+    return materializeSource(src);
+}
+
+TraceFileInfo
+probeTraceFile(const std::string &path)
+{
+    return StreamingFileSource(path).info();
 }
 
 } // namespace storemlp

@@ -70,7 +70,12 @@ void writeTraceFileV4(const std::string &path, TraceSource &src,
                       uint64_t chunk_insts = uint64_t{1} << 16,
                       const ChunkObserver &each_chunk = {});
 
-/** Deserialize a v4 trace. Throws TraceFormatError on anything else. */
+/**
+ * Deserialize a v4 trace: read `is` to its end, then decode the bytes
+ * with StreamingFileSource's parse (trace_file_source.hh), which also
+ * defines readTraceFile and probeTraceFile. Throws TraceFormatError on
+ * anything but one whole v4 image.
+ */
 Trace readTrace(std::istream &is);
 /** Deserialize a v4 trace from a file. */
 Trace readTraceFile(const std::string &path);
@@ -90,7 +95,8 @@ struct TraceFileInfo
  * Read a trace file's envelope and chunk index only: O(header +
  * index) work, no record decode. Validates the record count and the
  * whole index against the file size. Throws TraceFormatError on
- * malformed headers.
+ * malformed headers. The fingerprint is the envelope's, empty if the
+ * writer gave none.
  */
 TraceFileInfo probeTraceFile(const std::string &path);
 

@@ -215,8 +215,9 @@ materializeSource(TraceSource &src)
     std::vector<TraceRecord> records;
     if (std::optional<uint64_t> n = src.knownSize())
         records.reserve(*n);
-    forEachRecord(src, 0, ~uint64_t{0},
-                  [&](const TraceRecord &r) { records.push_back(r); });
+    forEachChunk(src, [&](const TraceChunk &c) {
+        records.insert(records.end(), c.data, c.data + c.count);
+    });
     return Trace(std::move(records));
 }
 

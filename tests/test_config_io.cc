@@ -115,6 +115,14 @@ TEST(ConfigIo, RejectsBadValues)
         std::stringstream ss("loadFrac = nan\n");
         EXPECT_THROW(loadWorkloadProfile(ss), ConfigParseError);
     }
+    // A name outside its token table lists the whole table, in order.
+    try {
+        workloadProfileForName("bogus");
+        ADD_FAILURE() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(), "workload 'bogus' is not one of "
+                               "database|tpcw|specjbb|specweb|tiny");
+    }
 }
 
 TEST(ConfigIo, TmKnobs)

@@ -43,8 +43,8 @@ class CalibrationTest : public testing::TestWithParam<int>
 TEST_P(CalibrationTest, Table1MissRatesNearPaper)
 {
     WorkloadProfile p = profile();
-    Runner::MissRates r =
-        Runner::measureMissRates(p, 42, kWarmup, kMeasure);
+    GeneratorSource src(p, 42, kWarmup + kMeasure);
+    Runner::MissRates r = Runner::measureMissRates(src, kWarmup);
 
     EXPECT_NEAR(r.storesPer100, p.targetStoresPer100,
                 0.06 * p.targetStoresPer100 + 0.1);

@@ -172,6 +172,18 @@ TEST(TraceV4, PreservesFingerprint)
     std::remove(path.c_str());
 }
 
+TEST(TraceV4, ProbeReportsEmptyFingerprintAsStored)
+{
+    Trace t = makeTrace(100);
+    std::string path = ::testing::TempDir() + "v4_nofp.trc";
+    writeTraceFileV4(path, t, "");
+    EXPECT_EQ(probeTraceFile(path).fingerprint, "");
+    // The source still identifies its stream, by path and length.
+    EXPECT_EQ(StreamingFileSource(path).fingerprint(),
+              "file:" + path + "|n=100");
+    std::remove(path.c_str());
+}
+
 // ---- encode-side validation -------------------------------------------
 
 TEST(TraceV4, RegisterIdOutOfRangeRejectedAtEncode)
@@ -254,8 +266,9 @@ struct NonSeekableBuf : std::streambuf
 
 TEST(TraceV4Corrupt, TruncatedIndexOnNonSeekableStream)
 {
-    // Pipes and sockets cannot be sized up front, so the capacity
-    // check is skipped and the short read itself must be diagnosed.
+    // Pipes and sockets cannot be sized up front; the reader takes
+    // the bytes to EOF first, so a short index draws the same
+    // capacity error as on a seekable stream.
     NonSeekableBuf buf(V4Layout::bytes().substr(0, V4Layout::kIndex + 7));
     std::istream is(&buf);
     EXPECT_THROW(
@@ -264,7 +277,7 @@ TEST(TraceV4Corrupt, TruncatedIndexOnNonSeekableStream)
                 readTrace(is);
             } catch (const TraceFormatError &e) {
                 EXPECT_NE(std::string(e.what())
-                              .find("truncated v4 chunk index"),
+                              .find("exceeds stream capacity"),
                           std::string::npos)
                     << e.what();
                 throw;
@@ -275,8 +288,8 @@ TEST(TraceV4Corrupt, TruncatedIndexOnNonSeekableStream)
 
 TEST(TraceV4Corrupt, TruncatedChunkOnNonSeekableStream)
 {
-    // Without a stream size the index finish() check cannot run; the
-    // missing body bytes must surface as a truncated chunk instead.
+    // The missing body bytes are caught by the index check against
+    // the bytes read, exactly as on a seekable stream.
     std::string s = V4Layout::bytes();
     NonSeekableBuf buf(s.substr(0, s.size() - 2));
     std::istream is(&buf);
@@ -285,14 +298,52 @@ TEST(TraceV4Corrupt, TruncatedChunkOnNonSeekableStream)
             try {
                 readTrace(is);
             } catch (const TraceFormatError &e) {
-                EXPECT_NE(
-                    std::string(e.what()).find("truncated v4 chunk"),
-                    std::string::npos)
+                EXPECT_NE(std::string(e.what())
+                              .find("does not match stream size"),
+                          std::string::npos)
                     << e.what();
                 throw;
             }
         },
         TraceFormatError);
+}
+
+TEST(TraceV4Corrupt, TrailingBytesRejectedOnEveryReader)
+{
+    // One byte past the last chunk is not a v4 image, whether it
+    // arrives through a pipe, a seekable stream or a file.
+    std::string s = V4Layout::bytes() + '\0';
+    const std::string needle = "does not match stream size";
+    NonSeekableBuf buf(s);
+    std::istream pipe(&buf);
+    try {
+        readTrace(pipe);
+        ADD_FAILURE() << "non-seekable stream: trailing byte accepted";
+    } catch (const TraceFormatError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+    expectV4Error(s, needle);
+
+    std::string path = ::testing::TempDir() + "v4_trailing.trc";
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << s;
+    }
+    for (const auto &read : std::vector<std::function<void()>>{
+             [&] { readTraceFile(path); },
+             [&] { StreamingFileSource src(path); },
+             [&] { probeTraceFile(path); }}) {
+        try {
+            read();
+            ADD_FAILURE() << "file reader: trailing byte accepted";
+        } catch (const TraceFormatError &e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceV4Corrupt, TruncatedMidChunk)

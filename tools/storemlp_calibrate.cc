@@ -97,8 +97,8 @@ toolMain(int argc, char **argv)
     auto evaluate = [&](double value) {
         WorkloadProfile p = profile;
         *knobPtr(p, knob, cli) = value;
-        Runner::MissRates r =
-            Runner::measureMissRates(p, seed, warmup, measure);
+        GeneratorSource src(p, seed, warmup + measure);
+        Runner::MissRates r = Runner::measureMissRates(src, warmup);
         ++evals;
         return metricOf(r, metric, cli);
     };

@@ -18,7 +18,6 @@
 #include "stats/stats_json.hh"
 #include "trace/lock_detector.hh"
 #include "trace/trace_file_source.hh"
-#include "trace/trace_io.hh"
 
 using namespace storemlp;
 using namespace storemlp::tools;
@@ -50,27 +49,20 @@ toolMain(int argc, char **argv)
     uint64_t dump = cli.num("dump", 0);
     bool full = cli.flag("full");
 
-    TraceFileInfo info;
+    // Opening the source parses the envelope and validates the chunk
+    // index, which is the whole cost of the default report; mix and
+    // lock analysis decode the stream, so they are opt-in.
+    std::optional<StreamingFileSource> src;
     try {
-        info = probeTraceFile(path);
+        src.emplace(path);
     } catch (const TraceFormatError &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
     }
+    TraceFileInfo info = src->info();
 
-    // Mix and lock analysis decode the stream, so they are opt-in;
-    // the header probe above is the whole cost of the default report.
     Trace::Mix mix;
     LockSummary locks;
-    std::optional<StreamingFileSource> src;
-    if (full || dump) {
-        try {
-            src.emplace(path);
-        } catch (const TraceFormatError &e) {
-            std::cerr << "error: " << e.what() << "\n";
-            return 1;
-        }
-    }
     if (full) {
         // One pass: the mix is counted on the way through the
         // lock-role stage.
