@@ -3,8 +3,9 @@
  * Simulator performance harness (google-benchmark): trace generation
  * throughput, cache-only replay throughput, full epoch-engine
  * throughput on each commercial workload, one end-to-end streamed
- * run (generator, WC rewrite, lock-role stage, engine), v4 trace
- * encode throughput, and on-disk v4 trace decode throughput.
+ * run (generator, WC rewrite, lock-role stage, engine), the same
+ * chain layer by layer (BM_Layer_*), v4 trace encode throughput, and
+ * on-disk v4 trace decode throughput.
  *
  * The decode benchmark defaults to a generated database-profile trace
  * written to a temp file unique to the process; pass `--trace PATH` to measure decode of an
@@ -29,6 +30,7 @@
 #include "core/mlp_sim.hh"
 #include "core/runner.hh"
 #include "trace/generator.hh"
+#include "trace/lock_detector.hh"
 #include "trace/trace_file_source.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
@@ -154,6 +156,90 @@ BM_Runner_StreamedWcSle(benchmark::State &state)
                             static_cast<int64_t>(records));
 }
 BENCHMARK(BM_Runner_StreamedWcSle);
+
+/**
+ * Layer benchmarks: the synthetic WC chain the tools build for
+ * database x wc3, one layer more per case, on 1M generated records
+ * (200K warmup + 800K measured for the run). Items are the generated
+ * records in every case, so the rates compare directly and each
+ * layer's cost per record is the difference of two cases' times.
+ */
+RunSpec
+layerSpec()
+{
+    RunSpec spec;
+    spec.profile = WorkloadProfile::database();
+    spec.config = SimConfig::wc3();
+    spec.seed = 1;
+    spec.warmupInsts = 200 * 1000;
+    spec.measureInsts = 800 * 1000;
+    return spec;
+}
+
+constexpr int64_t kLayerRecords = 1000 * 1000;
+
+/** Walk every chunk of `src`, touching one field per chunk. */
+void
+drain(TraceSource &src)
+{
+    forEachChunk(src, [](const TraceChunk &c) {
+        benchmark::DoNotOptimize(c.data[c.count - 1].addr);
+    });
+}
+
+/** GeneratorSource alone. */
+void
+BM_Layer_Generate(benchmark::State &state)
+{
+    RunSpec spec = layerSpec();
+    for (auto _ : state) {
+        GeneratorSource src(spec.profile, spec.seed, kLayerRecords);
+        drain(src);
+    }
+    state.SetItemsProcessed(state.iterations() * kLayerRecords);
+}
+BENCHMARK(BM_Layer_Generate);
+
+/** Runner::makeSource's chain: generator -> PC->WC rewrite. */
+void
+BM_Layer_WcRewrite(benchmark::State &state)
+{
+    RunSpec spec = layerSpec();
+    for (auto _ : state) {
+        std::unique_ptr<TraceSource> src = Runner::makeSource(spec);
+        drain(*src);
+    }
+    state.SetItemsProcessed(state.iterations() * kLayerRecords);
+}
+BENCHMARK(BM_Layer_WcRewrite);
+
+/** The same chain behind the lock-role stage, as SLE reads it. */
+void
+BM_Layer_LockRoles(benchmark::State &state)
+{
+    RunSpec spec = layerSpec();
+    for (auto _ : state) {
+        std::unique_ptr<TraceSource> src = Runner::makeSource(spec);
+        LockRoleSource roles(*src);
+        drain(roles);
+    }
+    state.SetItemsProcessed(state.iterations() * kLayerRecords);
+}
+BENCHMARK(BM_Layer_LockRoles);
+
+/** The whole run: the chain above plus warmup and measurement. */
+void
+BM_Layer_RunWcSle(benchmark::State &state)
+{
+    RunSpec spec = layerSpec();
+    for (auto _ : state) {
+        std::unique_ptr<TraceSource> src = Runner::makeSource(spec);
+        RunOutput out = Runner::run(spec, *src);
+        benchmark::DoNotOptimize(out.sim.epochs);
+    }
+    state.SetItemsProcessed(state.iterations() * kLayerRecords);
+}
+BENCHMARK(BM_Layer_RunWcSle);
 
 /** A sink that keeps nothing, so only the writer is timed. */
 class NullBuf : public std::streambuf

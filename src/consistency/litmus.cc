@@ -127,7 +127,7 @@ interleave(const std::vector<Op> &s0, const std::vector<Op> &s1,
         if (op.isStore)
             m2[op.addr] = 1;
         else
-            o2[op.loadSlot] = m2.count(op.addr) ? m2[op.addr] : 0;
+            o2.values[op.loadSlot] = m2.count(op.addr) ? m2[op.addr] : 0;
         interleave(s0, s1, n0, n1, std::move(m2), std::move(o2), out);
     };
     if (i0 < s0.size())
@@ -149,7 +149,7 @@ litmusOutcomes(const LitmusProgram &prog, const ModelDescriptor &model)
     for (const auto &s0 : linearExtensions(model, t0)) {
         for (const auto &s1 : linearExtensions(model, t1)) {
             interleave(s0, s1, 0, 0, {},
-                       LitmusOutcome(load_slot, 0), out);
+                       std::vector<uint8_t>(load_slot, 0), out);
         }
     }
     return out;

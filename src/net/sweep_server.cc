@@ -71,7 +71,6 @@ void
 SweepServer::stop()
 {
     _stop.store(true);
-    _listener.close();
     {
         // Kick handlers blocked in recv() on idle connections —
         // shutdown only; each handler closes its own fd on exit.
@@ -79,7 +78,10 @@ SweepServer::stop()
         for (FrameConn *conn : _activeConns)
             conn->shutdown();
     }
+    // The accept loop polls the listener and sees `_stop` within one
+    // poll timeout; close the listener only once that thread is gone.
     waitUntilFinished();
+    _listener.close();
 }
 
 void
@@ -215,8 +217,10 @@ SweepServer::serveConnection(int fd)
                 if (drop_after && sent >= drop_after) {
                     // Fault injection: crash this connection
                     // mid-stream. The client recovers by retrying the
-                    // missing shards.
-                    conn.close();
+                    // missing shards. Shut down, not close: stop() may
+                    // be kicking this fd from another thread, and the
+                    // handler closes it on return.
+                    conn.shutdown();
                     dead = true;
                 }
             };

@@ -40,18 +40,28 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(
 Trace
 SyntheticTraceGenerator::generate(uint64_t count)
 {
-    Trace t;
-    generateInto(t, count);
-    return t;
+    std::vector<TraceRecord> out;
+    generateInto(out, count);
+    return Trace(std::move(out));
 }
 
 void
 SyntheticTraceGenerator::generateInto(Trace &trace, uint64_t count)
 {
-    trace.reserve(trace.size() + count + 64);
-    uint64_t goal = trace.size() + count;
-    while (trace.size() < goal)
-        emitSlot(trace);
+    std::vector<TraceRecord> out;
+    generateInto(out, count);
+    for (const TraceRecord &r : out)
+        trace.append(r);
+}
+
+void
+SyntheticTraceGenerator::generateInto(std::vector<TraceRecord> &out,
+                                      uint64_t count)
+{
+    out.reserve(out.size() + count + 64);
+    uint64_t goal = out.size() + count;
+    while (out.size() < goal)
+        emitSlot(out);
 }
 
 uint64_t
@@ -190,7 +200,7 @@ SyntheticTraceGenerator::pickSrc()
 }
 
 void
-SyntheticTraceGenerator::emitSlot(Trace &trace)
+SyntheticTraceGenerator::emitSlot(std::vector<TraceRecord> &out)
 {
     // Flush phases: burst buffer/log writebacks with no locks and no
     // cold loads.
@@ -198,7 +208,7 @@ SyntheticTraceGenerator::emitSlot(Trace &trace)
         --_flushLeft;
         double d = _rng.uniform();
         if (d < _prof.flushStoreFrac) {
-            emitStore(trace, _rng.chance(_prof.flushColdProb));
+            emitStore(out, _rng.chance(_prof.flushColdProb));
         } else if (d < _prof.flushStoreFrac + _prof.loadFrac) {
             _loadBurstLeft = 0; // hot load only
             TraceRecord r;
@@ -209,9 +219,9 @@ SyntheticTraceGenerator::emitSlot(Trace &trace)
             r.src1 = pickSrc();
             r.dst = freshReg();
             _lastLoadDst = r.dst;
-            trace.append(r);
+            out.push_back(r);
         } else {
-            emitAlu(trace);
+            emitAlu(out);
         }
         return;
     }
@@ -226,9 +236,9 @@ SyntheticTraceGenerator::emitSlot(Trace &trace)
         --_burstLeft;
         double d = _rng.uniform();
         if (d < _prof.burstStoreFrac) {
-            emitStore(trace, _rng.chance(_prof.burstColdProb));
+            emitStore(out, _rng.chance(_prof.burstColdProb));
         } else {
-            emitAlu(trace);
+            emitAlu(out);
         }
         return;
     }
@@ -240,27 +250,28 @@ SyntheticTraceGenerator::emitSlot(Trace &trace)
 
     // Critical sections are emitted atomically (acquire/body/release).
     if (_prof.lockProb > 0.0 && _rng.chance(_prof.lockProb)) {
-        emitCriticalSection(trace);
+        emitCriticalSection(out);
         return;
     }
     if (_prof.membarProb > 0.0 && _rng.chance(_prof.membarProb)) {
-        emitMembar(trace);
+        emitMembar(out);
         return;
     }
     double d = _rng.uniform();
     if (d < _prof.loadFrac) {
-        emitLoad(trace);
+        emitLoad(out);
     } else if (d < _prof.loadFrac + _prof.storeFrac) {
-        emitStore(trace);
+        emitStore(out);
     } else if (d < _prof.loadFrac + _prof.storeFrac + _prof.branchFrac) {
-        emitBranch(trace);
+        emitBranch(out);
     } else {
-        emitAlu(trace);
+        emitAlu(out);
     }
 }
 
 void
-SyntheticTraceGenerator::emitCriticalSection(Trace &trace)
+SyntheticTraceGenerator::emitCriticalSection(
+        std::vector<TraceRecord> &out)
 {
     _inCs = true;
     uint64_t lock_addr = _lockBase +
@@ -275,18 +286,18 @@ SyntheticTraceGenerator::emitCriticalSection(Trace &trace)
     acq.dst = freshReg();
     acq.src1 = pickSrc();
     acq.flags = kFlagLockAcquire;
-    trace.append(acq);
+    out.push_back(acq);
 
     // Body: loads/stores/alu, no nested locks or cold-code excursions.
     uint32_t body = 4 + _rng.below(std::max(1u, 2 * _prof.csBodyLen - 4));
     for (uint32_t i = 0; i < body; ++i) {
         double d = _rng.uniform();
         if (d < _prof.loadFrac) {
-            emitLoad(trace);
+            emitLoad(out);
         } else if (d < _prof.loadFrac + _prof.storeFrac) {
-            emitStore(trace);
+            emitStore(out);
         } else {
-            emitAlu(trace);
+            emitAlu(out);
         }
     }
 
@@ -298,12 +309,12 @@ SyntheticTraceGenerator::emitCriticalSection(Trace &trace)
     rel.size = 8;
     rel.src2 = pickSrc();
     rel.flags = kFlagLockRelease;
-    trace.append(rel);
+    out.push_back(rel);
     _inCs = false;
 }
 
 void
-SyntheticTraceGenerator::emitLoad(Trace &trace)
+SyntheticTraceGenerator::emitLoad(std::vector<TraceRecord> &out)
 {
     bool cold;
     if (_loadBurstLeft > 0) {
@@ -323,11 +334,12 @@ SyntheticTraceGenerator::emitLoad(Trace &trace)
     r.src1 = pickSrc();
     r.dst = freshReg();
     _lastLoadDst = r.dst;
-    trace.append(r);
+    out.push_back(r);
 }
 
 void
-SyntheticTraceGenerator::emitStore(Trace &trace, bool force_cold)
+SyntheticTraceGenerator::emitStore(std::vector<TraceRecord> &out,
+                                   bool force_cold)
 {
     bool cold;
     if (force_cold) {
@@ -348,11 +360,11 @@ SyntheticTraceGenerator::emitStore(Trace &trace, bool force_cold)
     r.size = 8;
     r.src1 = pickSrc();
     r.src2 = pickSrc();
-    trace.append(r);
+    out.push_back(r);
 }
 
 void
-SyntheticTraceGenerator::emitBranch(Trace &trace)
+SyntheticTraceGenerator::emitBranch(std::vector<TraceRecord> &out)
 {
     TraceRecord r;
     // Branches live at fixed sites (the last word of each 32-byte
@@ -376,11 +388,11 @@ SyntheticTraceGenerator::emitBranch(Trace &trace)
         : (_rng.chance(_prof.branchBias) ? direction : !direction);
     if (taken)
         r.flags |= kFlagTaken;
-    trace.append(r);
+    out.push_back(r);
 }
 
 void
-SyntheticTraceGenerator::emitAlu(Trace &trace)
+SyntheticTraceGenerator::emitAlu(std::vector<TraceRecord> &out)
 {
     TraceRecord r;
     r.pc = nextPc();
@@ -388,16 +400,16 @@ SyntheticTraceGenerator::emitAlu(Trace &trace)
     r.src1 = pickSrc();
     r.src2 = pickSrc();
     r.dst = freshReg();
-    trace.append(r);
+    out.push_back(r);
 }
 
 void
-SyntheticTraceGenerator::emitMembar(Trace &trace)
+SyntheticTraceGenerator::emitMembar(std::vector<TraceRecord> &out)
 {
     TraceRecord r;
     r.pc = nextPc();
     r.cls = InstClass::Membar;
-    trace.append(r);
+    out.push_back(r);
 }
 
 LitmusProgram

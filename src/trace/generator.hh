@@ -75,17 +75,25 @@ class SyntheticTraceGenerator
     /** Append `count` instructions to an existing trace. */
     void generateInto(Trace &trace, uint64_t count);
 
+    /**
+     * Append at least `count` instructions to `out`: whole slots, so
+     * the last one may run past `count` (a critical section is one
+     * slot).
+     */
+    void generateInto(std::vector<TraceRecord> &out, uint64_t count);
+
     const WorkloadProfile &profile() const { return _prof; }
     uint32_t chipId() const { return _chipId; }
 
   private:
-    void emitSlot(Trace &trace);
-    void emitCriticalSection(Trace &trace);
-    void emitLoad(Trace &trace);
-    void emitStore(Trace &trace, bool force_cold = false);
-    void emitBranch(Trace &trace);
-    void emitAlu(Trace &trace);
-    void emitMembar(Trace &trace);
+    void emitSlot(std::vector<TraceRecord> &out);
+    void emitCriticalSection(std::vector<TraceRecord> &out);
+    void emitLoad(std::vector<TraceRecord> &out);
+    void emitStore(std::vector<TraceRecord> &out,
+                   bool force_cold = false);
+    void emitBranch(std::vector<TraceRecord> &out);
+    void emitAlu(std::vector<TraceRecord> &out);
+    void emitMembar(std::vector<TraceRecord> &out);
 
     uint64_t nextPc();
     uint64_t hotDataAddr();

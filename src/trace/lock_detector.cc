@@ -1,163 +1,212 @@
 /**
  * @file
- * Lock detector implementation: a streaming core with a batch front
- * and the chunk-decorating LockRoleSource stage.
+ * Lock detector implementation: a sparse streaming core with a batch
+ * front and the chunk-decorating LockRoleSource stage.
  */
 
 #include "trace/lock_detector.hh"
 
-#include <algorithm>
+#include <iterator>
 
 namespace storemlp
 {
 
-StreamingLockDetector::StreamingLockDetector(uint64_t window)
-    : _window(window)
-{
-    // Steady state holds window + 2 records (the lag rules below).
-    uint64_t cap = 16;
-    while (cap < window + 3)
-        cap <<= 1;
-    _ring.resize(cap);
-    _mask = cap - 1;
-}
-
 void
-StreamingLockDetector::grow()
+StreamingLockDetector::scan(const TraceRecord *recs, uint64_t n)
 {
-    std::vector<FinalizedRecord> ring(_ring.size() * 2);
-    uint64_t mask = ring.size() - 1;
-    for (uint64_t i = _base; i < _next; ++i)
-        ring[i & mask] = _ring[i & _mask];
-    _ring = std::move(ring);
-    _mask = mask;
-}
+    if (!n)
+        return;
+    const uint64_t base = _next;
+    _next += n;
 
-void
-StreamingLockDetector::push(const TraceRecord &r)
-{
-    if (_next - _base == _ring.size())
-        grow();
-    _ring[_next & _mask] = {r, LockRole::None, 0};
-    ++_next;
-    // Keep a one-record lag: record j is processed only once j+1 is
-    // buffered, because the lwarx idiom inspects the following stwcx.
-    while (_processed + 1 < _next)
-        processAt(_processed++);
+    // An lwarx opened with its isync slot (acq+2) past the span.
+    auto open_lwarx = [&](uint64_t addr, uint64_t acq) {
+        open(addr, acq, true);
+        _isyncPending = acq + 2 >= _next;
+        _isyncFor = acq;
+        if (!_isyncPending)
+            setIsyncAt2(acq, recs[acq + 2 - base].cls);
+    };
+    // Tests the previous span left for this span's first records. A
+    // pending isync slot is always record `base`.
+    if (_isyncPending) {
+        _isyncPending = false;
+        setIsyncAt2(_isyncFor, recs[0].cls);
+    }
+    if (_lwarxPending) {
+        _lwarxPending = false;
+        if (recs[0].cls == InstClass::StoreCond &&
+            recs[0].addr == _lwarxAddr)
+            open_lwarx(_lwarxAddr, base - 1);
+    }
+
+    for (uint64_t k = 0; k < n; ++k) {
+        const TraceRecord &r = recs[k];
+        switch (r.cls) {
+          case InstClass::AtomicCas:
+            // PC idiom. A new casa to the same address supersedes a
+            // stale unmatched one.
+            open(r.addr, base + k, false);
+            break;
+          case InstClass::LoadLocked:
+            // WC idiom: lwarx must be completed by stwcx to the same
+            // address; a trailing isync is part of the acquire.
+            if (k + 1 == n) {
+                _lwarxPending = true;
+                _lwarxAddr = r.addr;
+            } else if (recs[k + 1].cls == InstClass::StoreCond &&
+                       recs[k + 1].addr == r.addr) {
+                open_lwarx(r.addr, base + k);
+            }
+            break;
+          case InstClass::Store:
+            release(base + k, r.addr, k ? recs[k - 1].cls : _lastCls);
+            break;
+          default:
+            break;
+        }
+    }
+    _lastCls = recs[n - 1].cls;
 }
 
 void
 StreamingLockDetector::finish()
 {
+    // A trailing lwarx has no stwcx, and a trailing lwarx;stwcx no
+    // isync.
+    _lwarxPending = false;
+    _isyncPending = false;
     _finished = true;
-    while (_processed < _next)
-        processAt(_processed++);
 }
 
 uint64_t
-StreamingLockDetector::finalizedCount() const
+StreamingLockDetector::finalUpTo() const
 {
     if (_finished)
-        return _next - _base;
-    if (_processed == 0)
+        return _next;
+    // Record j = _next - 2 is the last one processed (one-record
+    // lag); a future release store i > j can annotate indices >=
+    // i - window >= j + 1 - window, so everything below that is final.
+    if (_next < 2)
         return 0;
-    // Last processed index is _processed - 1; a future release store
-    // i > j can annotate indices >= i - window >= _processed - window,
-    // so everything strictly below that is final.
-    uint64_t j = _processed - 1;
-    uint64_t final_upto = j >= _window ? j - _window + 1 : 0;
-    return final_upto > _base ? final_upto - _base : 0;
-}
-
-FinalizedRecord
-StreamingLockDetector::pop()
-{
-    return _ring[_base++ & _mask];
+    uint64_t j = _next - 2;
+    return j >= _window ? j - _window + 1 : 0;
 }
 
 void
-StreamingLockDetector::processAt(uint64_t j)
+StreamingLockDetector::open(uint64_t addr, uint64_t acq, bool lwarx)
 {
-    const TraceRecord &r = recAt(j);
-
-    if (r.cls == InstClass::AtomicCas) {
-        // PC idiom. A new casa to the same address supersedes a
-        // stale unmatched one.
-        _open[r.addr] = j;
-        return;
-    }
-
-    if (r.cls == InstClass::LoadLocked) {
-        // WC idiom: lwarx must be completed by stwcx to the same
-        // address; a trailing isync is part of the acquire.
-        if (j + 1 < _next && recAt(j + 1).cls == InstClass::StoreCond &&
-            recAt(j + 1).addr == r.addr) {
-            _open[r.addr] = j;
-        }
-        return;
-    }
-
-    if (r.cls == InstClass::Store) {
-        auto it = _open.find(r.addr);
-        if (it == _open.end())
-            return;
-        uint64_t acq = it->second;
-        _open.erase(it);
-        if (j - acq > _window) {
-            // Critical section implausibly long: treat the atomic
-            // as a bare CAS, not a lock acquire.
+    OpenLock lock{addr, acq, lwarx, false};
+    for (OpenLock &o : _open) {
+        if (o.addr == addr) {
+            o = lock;
             return;
         }
-        slotAt(acq).role = LockRole::Acquire;
-        slotAt(acq).acquireIdx = acq;
-        slotAt(j).role = LockRole::Release;
-        slotAt(j).acquireIdx = acq;
-
-        // Annotate the auxiliary instructions of WC sequences. For a
-        // LoadLocked acquire, acq+1 is the stwcx and the release store
-        // sits at j >= acq+2, so both aux slots are always buffered.
-        if (recAt(acq).cls == InstClass::LoadLocked) {
-            slotAt(acq + 1).role = LockRole::AcquireAux; // stwcx
-            if (recAt(acq + 2).cls == InstClass::Isync)
-                slotAt(acq + 2).role = LockRole::AcquireAux;
-        }
-        // Every acquire-aux record right after this acquire belongs
-        // to this section until a later-released section claims it
-        // (a casa directly before another section's lwarx/stwcx):
-        // the last pair in release order owns a shared aux record.
-        for (uint64_t i = acq + 1; i <= acq + 2 && i < _next; ++i) {
-            if (slotAt(i).role == LockRole::AcquireAux)
-                slotAt(i).acquireIdx = acq;
-        }
-        if (j > 0 && recAt(j - 1).cls == InstClass::Lwsync) {
-            slotAt(j - 1).role = LockRole::ReleaseAux;
-            slotAt(j - 1).acquireIdx = acq;
-        }
     }
+    _open.push_back(lock);
+}
+
+void
+StreamingLockDetector::setIsyncAt2(uint64_t acq, InstClass cls)
+{
+    for (OpenLock &o : _open) {
+        if (o.acq == acq)
+            o.isyncAt2 = cls == InstClass::Isync;
+    }
+}
+
+void
+StreamingLockDetector::release(uint64_t j, uint64_t addr,
+                               InstClass prev_cls)
+{
+    OpenLock lock{};
+    bool found = false;
+    for (size_t i = 0; i < _open.size();) {
+        OpenLock &o = _open[i];
+        // A stale entry pairing with this or any later store would
+        // make the critical section implausibly long: it stays a bare
+        // CAS, so drop it.
+        bool stale = o.acq + _window < j;
+        if (!stale && o.addr != addr) {
+            ++i;
+            continue;
+        }
+        if (!stale) {
+            lock = o;
+            found = true;
+        }
+        o = _open.back();
+        _open.pop_back();
+    }
+    if (!found)
+        return;
+
+    uint64_t acq = lock.acq;
+    annotate(acq, LockRole::Acquire, acq);
+    annotate(j, LockRole::Release, acq);
+    // Annotate the auxiliary instructions of WC sequences. For a
+    // lwarx acquire, acq+1 is the stwcx and the release store sits at
+    // j >= acq+2.
+    if (lock.lwarx) {
+        annotate(acq + 1, LockRole::AcquireAux, acq); // stwcx
+        if (lock.isyncAt2)
+            annotate(acq + 2, LockRole::AcquireAux, acq);
+    }
+    // Every acquire-aux record right after this acquire belongs to
+    // this section until a later-released section claims it (a casa
+    // directly before another section's lwarx/stwcx): the last pair
+    // in release order owns a shared aux record.
+    for (uint64_t i = acq + 1; i <= acq + 2; ++i) {
+        LockAnnotation *a = noteAt(i);
+        if (a && a->role == LockRole::AcquireAux)
+            a->acquireIdx = acq;
+    }
+    if (prev_cls == InstClass::Lwsync)
+        annotate(j - 1, LockRole::ReleaseAux, acq);
+}
+
+LockAnnotation *
+StreamingLockDetector::noteAt(uint64_t idx)
+{
+    // Annotations land within a window of the newest one: search from
+    // the back.
+    for (auto it = _notes.rbegin(); it != _notes.rend(); ++it) {
+        if (it->idx == idx)
+            return &*it;
+        if (it->idx < idx)
+            break;
+    }
+    return nullptr;
+}
+
+void
+StreamingLockDetector::annotate(uint64_t idx, LockRole role, uint64_t acq)
+{
+    auto it = _notes.end();
+    while (it != _notes.begin() && std::prev(it)->idx >= idx)
+        --it;
+    if (it != _notes.end() && it->idx == idx) {
+        it->role = role;
+        it->acquireIdx = acq;
+        return;
+    }
+    _notes.insert(it, {idx, acq, role});
 }
 
 LockAnalysis
 LockDetector::analyze(const Trace &trace) const
 {
     StreamingLockDetector det(_window);
-    LockAnalysis out;
-    out.roles.reserve(trace.size());
-    auto drain = [&] {
-        while (det.finalizedCount()) {
-            uint64_t idx = det.baseIdx();
-            FinalizedRecord f = det.pop();
-            out.roles.push_back(f.role);
-            // Releases pop in index order, i.e. in release order.
-            if (f.role == LockRole::Release)
-                out.pairs.push_back({f.acquireIdx, idx, f.rec.addr});
-        }
-    };
-    for (const TraceRecord &r : trace.records()) {
-        det.push(r);
-        drain();
-    }
+    det.scan(trace.records().data(), trace.size());
     det.finish();
-    drain();
+    LockAnalysis out;
+    out.roles.assign(trace.size(), LockRole::None);
+    for (const LockAnnotation *a; (a = det.peek()); det.pop()) {
+        out.roles[a->idx] = a->role;
+        // Annotations pop in index order, so releases in release order.
+        if (a->role == LockRole::Release)
+            out.pairs.push_back({a->acquireIdx, a->idx, trace[a->idx].addr});
+    }
     return out;
 }
 
@@ -179,7 +228,6 @@ LockRoleSource::restart()
 {
     _det = StreamingLockDetector();
     _ahead.clear();
-    _pushOff = 0;
     _nextInner = 0;
     _innerDone = false;
     _nextChunk = 0;
@@ -197,17 +245,9 @@ LockRoleSource::pull()
         return false;
     }
     ++_nextInner;
+    if (!c->hasLockLanes())
+        _det.scan(c->data, c->count);
     _ahead.push_back(std::move(c));
-    _pushOff = 0;
-    return true;
-}
-
-bool
-LockRoleSource::pushOne()
-{
-    if ((_ahead.empty() || _pushOff == _ahead.back()->count) && !pull())
-        return false;
-    _det.push(_ahead.back()->data[_pushOff++]);
     return true;
 }
 
@@ -217,34 +257,26 @@ LockRoleSource::produceNext()
     if (_ahead.empty() && !pull())
         return nullptr;
     std::shared_ptr<const TraceChunk> inner = _ahead.front();
+    _ahead.pop_front();
+    ++_nextChunk;
+    if (inner->hasLockLanes())
+        return inner;
 
-    // Push records one at a time, just far enough ahead that each
-    // record of this chunk is final when popped: the detector holds
-    // one pairing window, not a chunk.
+    // Scan whole inner chunks until every record of this one is
+    // final; at the end of the inner stream pull() finishes the
+    // detector instead, which makes every record final.
+    uint64_t end = inner->firstIdx + inner->count;
+    while (_det.finalUpTo() < end && pull()) {
+    }
     LockLanes locks;
     locks.role.resize(inner->count);
     locks.acqDist.resize(inner->count);
-    for (uint64_t off = 0; off < inner->count;) {
-        uint64_t ready = _det.finalizedCount();
-        if (!ready) {
-            // At the end of the inner stream pushOne() finishes the
-            // detector instead, which makes every record final.
-            pushOne();
-            continue;
-        }
-        for (ready = std::min(ready, inner->count - off); ready;
-             --ready, ++off) {
-            uint64_t idx = _det.baseIdx();
-            FinalizedRecord f = _det.pop();
-            if (f.role != LockRole::None) {
-                locks.role[off] = static_cast<uint8_t>(f.role);
-                locks.acqDist[off] =
-                    static_cast<uint16_t>(idx - f.acquireIdx);
-            }
-        }
+    for (const LockAnnotation *a; (a = _det.peek()) && a->idx < end;
+         _det.pop()) {
+        uint64_t off = a->idx - inner->firstIdx;
+        locks.role[off] = static_cast<uint8_t>(a->role);
+        locks.acqDist[off] = static_cast<uint16_t>(a->idx - a->acquireIdx);
     }
-    _ahead.pop_front();
-    ++_nextChunk;
     return std::make_shared<const TraceChunk>(std::move(inner),
                                               std::move(locks));
 }

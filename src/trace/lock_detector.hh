@@ -9,10 +9,14 @@
  * generator's ground-truth flags are used only by tests to validate
  * the detector.
  *
- * Simulation runs it as a chunk stage: LockRoleSource attaches each
- * chunk's roles as lanes, so a run detects locks in the same single
- * forward pass that feeds the engine. The batch LockDetector is the
- * whole-trace reference the stage is tested against.
+ * Detection is one sparse scan (StreamingLockDetector): only `casa`,
+ * `lwarx` and store records are acted on. Simulation runs it as a
+ * chunk stage: LockRoleSource attaches each chunk's roles as lanes, so
+ * a run detects locks in the same single forward pass that feeds the
+ * engine. A WC run detects once, on the PC stream: WcRewriteSource
+ * (rewriter.hh) serves its chunks with their WC roles already, and
+ * LockRoleSource passes them through. The batch LockDetector is the
+ * whole-trace reference both are tested against.
  */
 
 #ifndef STOREMLP_TRACE_LOCK_DETECTOR_HH
@@ -21,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/trace.hh"
@@ -56,7 +59,7 @@ enum class LockRole : uint8_t
 
 /**
  * Result of a batch detector run over a whole trace. Simulation never
- * reads this: the engine takes its roles from LockRoleSource chunks.
+ * reads this: the engine takes its roles from its chunks' lock lanes.
  */
 struct LockAnalysis
 {
@@ -98,29 +101,30 @@ class LockDetector
     uint64_t _window;
 };
 
-/** A record whose lock role is final, as StreamingLockDetector::pop
- *  hands it back. */
-struct FinalizedRecord
+/**
+ * One role the detector assigned: record `idx` plays `role` in the
+ * critical section whose acquire is record `acquireIdx`.
+ */
+struct LockAnnotation
 {
-    TraceRecord rec;
-    LockRole role = LockRole::None;
-    /**
-     * Trace index of the acquire of the critical section this record
-     * belongs to; meaningful only when `role` is not None.
-     */
+    uint64_t idx = 0;
     uint64_t acquireIdx = 0;
+    LockRole role = LockRole::None;
 };
 
 /**
- * Incremental lock detection over a record stream. This is the carry
- * state that lets the detector run as a streaming per-chunk transform:
- * push records in trace order, pop each record back out, with its
- * role and its section's acquire, once neither can change. Resident
- * state is O(window), not O(trace).
+ * Incremental, sparse lock detection over a record stream: scan spans
+ * of records in trace order, then pop the annotations of records whose
+ * roles can no longer change. Only `casa`, `lwarx` and store records
+ * are acted on; every other record is a class test in the scan loop.
+ * The carried state is the open-lock table, the last record's class
+ * (the `lwsync` before a release), the class two records after an
+ * open `lwarx` (its `isync`), and the annotations not yet popped, so
+ * resident state is O(locks in one window), not O(window) records.
  *
  * The lag rules mirror exactly what the batch pass reads:
- *  - record j is processed only once record j+1 has been pushed (the
- *    lwarx idiom looks one record ahead), or at finish();
+ *  - record j counts as processed only once record j+1 has been
+ *    scanned (the lwarx idiom looks one record ahead), or at finish();
  *  - after processing j, roles at indices <= j - window are final — a
  *    later release store i > j can only annotate indices >= i - window.
  *
@@ -130,49 +134,81 @@ struct FinalizedRecord
 class StreamingLockDetector
 {
   public:
-    explicit StreamingLockDetector(uint64_t window = kLockWindow);
-
-    /** Append the next record of the stream. */
-    void push(const TraceRecord &r);
-
-    /** Declare end of input: every buffered record becomes final. */
-    void finish();
-
-    /** Leading records whose roles are final and ready to pop. */
-    uint64_t finalizedCount() const;
-
-    /** Pop the oldest finalized record. */
-    FinalizedRecord pop();
-
-    /** Trace index of the next record pop() will return. */
-    uint64_t baseIdx() const { return _base; }
-
-  private:
-    void processAt(uint64_t j);
-    /** Double the ring, keeping [_base, _next) at their indices. */
-    void grow();
-    FinalizedRecord &slotAt(uint64_t idx) { return _ring[idx & _mask]; }
-    const TraceRecord &recAt(uint64_t idx) const
+    explicit StreamingLockDetector(uint64_t window = kLockWindow)
+        : _window(window)
     {
-        return _ring[idx & _mask].rec;
     }
 
+    /** Scan the next `n` records of the stream. */
+    void scan(const TraceRecord *recs, uint64_t n);
+
+    /** Declare end of input: every scanned record becomes final. */
+    void finish();
+
+    /** Records [0, finalUpTo()) have final roles. */
+    uint64_t finalUpTo() const;
+
+    /**
+     * The pending annotation with the lowest index, or null. It is
+     * final only while its `idx` is below finalUpTo().
+     */
+    const LockAnnotation *
+    peek() const
+    {
+        return _notes.empty() ? nullptr : &_notes.front();
+    }
+
+    /** Drop the annotation peek() returned. */
+    void pop() { _notes.pop_front(); }
+
+  private:
+    /** An acquire still waiting for its release store. */
+    struct OpenLock
+    {
+        uint64_t addr;
+        uint64_t acq;
+        bool lwarx;     ///< WC idiom: acq+1 is its stwcx
+        bool isyncAt2;  ///< acq+2 is an isync
+    };
+
+    void open(uint64_t addr, uint64_t acq, bool lwarx);
+    /** Record the class at acq+2 on the lwarx acquire `acq`. */
+    void setIsyncAt2(uint64_t acq, InstClass cls);
+    void release(uint64_t j, uint64_t addr, InstClass prev_cls);
+    /** Set the role and acquire of record `idx`, in index order. */
+    void annotate(uint64_t idx, LockRole role, uint64_t acq);
+    /** The pending annotation of record `idx`, or null. */
+    LockAnnotation *noteAt(uint64_t idx);
+
     uint64_t _window;
-    /** Ring over trace indices [_base, _next), slot = index & _mask. */
-    std::vector<FinalizedRecord> _ring;
-    uint64_t _mask = 0;
-    uint64_t _base = 0;            ///< trace index of the oldest slot
-    uint64_t _next = 0;            ///< one past the last pushed index
-    uint64_t _processed = 0;       ///< next index to process
+    uint64_t _next = 0; ///< records scanned
     bool _finished = false;
-    std::unordered_map<uint64_t, uint64_t> _open; ///< addr -> acquire
+    InstClass _lastCls = InstClass::NumClasses; ///< class of _next - 1
+    /** An lwarx ended the last span: its stwcx test waits for the
+     *  next record. */
+    bool _lwarxPending = false;
+    uint64_t _lwarxAddr = 0;
+    /** The lwarx opened at _isyncFor waits for record _isyncFor+2. */
+    bool _isyncPending = false;
+    uint64_t _isyncFor = 0;
+    /**
+     * Open acquires, one per address. Entries more than a window old
+     * can only ever be rejected, so every store drops them: the table
+     * holds the locks taken since one window before the last store.
+     */
+    std::vector<OpenLock> _open;
+    /** Annotations not yet popped, sorted by index. */
+    std::deque<LockAnnotation> _notes;
 };
 
 /**
  * The lock-role stage: serves an inner source's chunks unchanged —
  * records and SoA lanes borrowed, never copied — each decorated with
  * its LockLanes, so SLE and TM read lock roles from the chunk they
- * are simulating instead of a whole-trace roles vector.
+ * are simulating instead of a whole-trace roles vector. A chunk that
+ * already carries lock lanes (WcRewriteSource serves its WC records
+ * with theirs) is passed through as-is, so a WC run detects once; a
+ * stream carries lock lanes on every chunk or on none.
  *
  * Detection runs one pairing window (kLockWindow) ahead of the
  * consumer: chunk k is served once every record in it is final, which
@@ -197,16 +233,13 @@ class LockRoleSource : public TraceSource
     void restart();
     /** Fetch the next inner chunk into `_ahead`; false at end. */
     bool pull();
-    /** Push the next inner record into the detector; false at end. */
-    bool pushOne();
     /** Serve chunk `_nextChunk`, or nullptr at end of stream. */
     std::shared_ptr<const TraceChunk> produceNext();
 
     TraceSource &_inner;
     StreamingLockDetector _det;
-    /** Inner chunks fetched, not yet served; the last is being pushed. */
+    /** Inner chunks fetched, not yet served; all of them scanned. */
     std::deque<std::shared_ptr<const TraceChunk>> _ahead;
-    uint64_t _pushOff = 0;   ///< next record of _ahead.back() to push
     uint64_t _nextInner = 0; ///< next inner chunk to pull
     bool _innerDone = false; ///< inner stream exhausted
     uint64_t _nextChunk = 0; ///< next chunk to serve

@@ -8,13 +8,18 @@
  *   casa (acquire)   ->  lwarx ; stwcx ; isync
  *   store (release)  ->  lwsync ; store
  * Everything else is copied through unchanged (standalone membars keep
- * full-fence semantics under both models).
+ * full-fence semantics under both models). The streaming rewrite also
+ * labels what it wrote: its chunks carry the WC lock roles, so a WC
+ * run needs no second detector pass.
  */
 
 #ifndef STOREMLP_TRACE_REWRITER_HH
 #define STOREMLP_TRACE_REWRITER_HH
 
+#include <deque>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "trace/lock_detector.hh"
 #include "trace/trace.hh"
@@ -50,19 +55,29 @@ class TraceRewriter
 };
 
 /**
- * Streaming PC -> WC rewrite of an inner source: pulls input records
- * through a StreamingLockDetector and expands each finalized
- * (record, role) with appendWcExpansion, carrying only the detector
- * window plus one output chunk across chunk boundaries. Emits exactly
- * the record stream of `TraceRewriter::toWeakConsistency(materialize
- * (inner))`. Sequential; backward fetches restart both the detector
- * and the inner source.
+ * Streaming PC -> WC rewrite of an inner source, fused with the WC
+ * side's lock detection. One sparse StreamingLockDetector pass over
+ * the PC records places the expansions: the runs between annotated
+ * records are copied into the output chunks in bulk, and
+ * appendWcExpansion runs only at the acquires and releases. Emits
+ * exactly the record stream of `TraceRewriter::toWeakConsistency
+ * (materialize(inner))`.
+ *
+ * Each chunk carries the LockLanes of its WC records, exactly those
+ * `LockDetector().analyze` finds on the rewritten stream: a section
+ * the PC pass pairs is `lwarx`=Acquire, `stwcx`/`isync`=AcquireAux,
+ * `lwsync`=ReleaseAux, store=Release, with `acqDist` in WC indices,
+ * unless its WC span exceeds kLockWindow (the expansions make it 3+
+ * records longer than the PC one), where the WC pass rejects it too.
+ * So a LockRoleSource over this source passes its chunks through. A
+ * chunk is served once its roles are final, a window of WC records
+ * later: resident state is O(window + chunk). Sequential; backward
+ * fetches restart both the detector and the inner source.
  */
 class WcRewriteSource : public TraceSource
 {
   public:
-    explicit WcRewriteSource(std::unique_ptr<TraceSource> inner,
-                             uint64_t window = kLockWindow);
+    explicit WcRewriteSource(std::unique_ptr<TraceSource> inner);
 
     std::shared_ptr<const TraceChunk> fetch(uint64_t chunk_idx) override;
     std::optional<uint64_t> knownSize() const override;
@@ -70,18 +85,37 @@ class WcRewriteSource : public TraceSource
 
   private:
     void restart();
+    /** Pull, scan and rewrite the next inner chunk; false at end. */
+    bool advance();
+    /** Rewrite the PC records whose roles are final. */
+    void emitFinal();
+    /** Copy PC records [_pcEmit, end) to the output unchanged. */
+    void copyRun(uint64_t end);
+    /** Append `n` WC records to the output chunks. */
+    void append(const TraceRecord *recs, uint64_t n);
+    /** True once chunk `_nextChunk` is complete and its roles final. */
+    bool frontReady() const;
     std::shared_ptr<const TraceChunk> produceNext();
 
     std::unique_ptr<TraceSource> _inner;
-    uint64_t _window;
-
-    std::optional<TraceCursor> _cur;
-    uint64_t _inPos = 0;  ///< next input record to push
     StreamingLockDetector _det;
-    std::vector<TraceRecord> _outCarry; ///< rewritten, not yet chunked
-    uint64_t _emitted = 0;              ///< records handed out in chunks
+    /** Inner chunks from the one holding _pcEmit to the scan front. */
+    std::deque<std::shared_ptr<const TraceChunk>> _in;
+    uint64_t _nextInner = 0;
+    uint64_t _pcEmit = 0;  ///< next PC record to rewrite
+    bool _drained = false; ///< inner stream rewritten to its end
+
+    /** Acquires rewritten, releases not yet: (PC, WC) index. */
+    std::vector<std::pair<uint64_t, uint64_t>> _acquires;
+    /** WC roles of records not yet served. */
+    std::vector<LockAnnotation> _wcNotes;
+    std::vector<TraceRecord> _expansion; ///< one record's rendition
+
+    /** Output chunks not yet served; the last one is being filled. */
+    std::deque<std::vector<TraceRecord>> _out;
+    uint64_t _outFirst = 0; ///< WC index of _out.front()[0]
+    uint64_t _wcNext = 0;   ///< WC records written
     uint64_t _nextChunk = 0;
-    bool _drained = false; ///< input exhausted and detector flushed
 };
 
 } // namespace storemlp

@@ -19,22 +19,25 @@ namespace storemlp
 TraceChunk::LaneRefs
 TraceChunk::lanes() const
 {
+    LaneRefs refs;
     if (_inner) {
-        LaneRefs refs = _inner->lanes();
-        refs.role = _locks.role.data();
-        refs.acqDist = _locks.acqDist.data();
-        return refs;
-    }
-    if (_extLanes) {
-        return {_extLanes->pc.data() + _extOff,
+        refs = _inner->lanes();
+    } else if (_extLanes) {
+        refs = {_extLanes->pc.data() + _extOff,
                 _extLanes->addr.data() + _extOff,
                 _extLanes->cls.data() + _extOff,
                 _extLanes->meta.data() + _extOff};
+    } else {
+        std::call_once(_lanesOnce,
+                       [this] { deriveLanes(data, count, _lanes); });
+        refs = {_lanes.pc.data(), _lanes.addr.data(), _lanes.cls.data(),
+                _lanes.meta.data()};
     }
-    std::call_once(_lanesOnce,
-                   [this] { deriveLanes(data, count, _lanes); });
-    return {_lanes.pc.data(), _lanes.addr.data(), _lanes.cls.data(),
-            _lanes.meta.data()};
+    if (hasLockLanes()) {
+        refs.role = _locks.role.data();
+        refs.acqDist = _locks.acqDist.data();
+    }
+    return refs;
 }
 
 // ---------------------------------------------------------------------
@@ -130,7 +133,7 @@ void
 GeneratorSource::restart()
 {
     _gen.emplace(_profile, _seed, _chipId);
-    _pending.clear();
+    _overshoot.clear();
     _generated = 0;
     _emitted = 0;
     _nextChunk = 0;
@@ -140,31 +143,33 @@ GeneratorSource::restart()
 std::shared_ptr<const TraceChunk>
 GeneratorSource::produceNext()
 {
-    // Top up the pending buffer one generator request at a time. Each
-    // request asks for exactly min(space, count - generated), so the
-    // generator stops at the same slot boundary as a single
-    // generate(count) call would — the chunked stream is bit-identical
-    // to the materialized one, overshoot included.
-    while (!_genDone && _pending.size() < _chunkInsts) {
-        uint64_t want = std::min<uint64_t>(
-            _chunkInsts - _pending.size(), _count - _generated);
-        Trace t;
-        _gen->generateInto(t, want);
-        _generated += t.size();
-        _pending.insert(_pending.end(), t.records().begin(),
-                        t.records().end());
+    // Generate straight into the chunk, one generator request at a
+    // time. Each request asks for exactly min(space, count -
+    // generated), so the generator stops at the same slot boundary as
+    // a single generate(count) call would — the chunked stream is
+    // bit-identical to the materialized one, overshoot included. The
+    // slot that crosses the chunk's end carries over to the next.
+    std::vector<TraceRecord> recs = std::move(_overshoot);
+    _overshoot.clear();
+    while (!_genDone && recs.size() < _chunkInsts) {
+        uint64_t want = std::min<uint64_t>(_chunkInsts - recs.size(),
+                                           _count - _generated);
+        uint64_t before = recs.size();
+        _gen->generateInto(recs, want);
+        _generated += recs.size() - before;
         if (_generated >= _count)
             _genDone = true;
     }
 
-    if (_pending.empty())
+    if (recs.empty())
         return nullptr;
-    uint64_t take = std::min<uint64_t>(_chunkInsts, _pending.size());
-    std::vector<TraceRecord> recs(_pending.begin(),
-                                  _pending.begin() +
-                                      static_cast<ptrdiff_t>(take));
-    _pending.erase(_pending.begin(),
-                   _pending.begin() + static_cast<ptrdiff_t>(take));
+    if (recs.size() > _chunkInsts) {
+        _overshoot.assign(recs.begin() +
+                              static_cast<ptrdiff_t>(_chunkInsts),
+                          recs.end());
+        recs.resize(_chunkInsts);
+    }
+    uint64_t take = recs.size();
     auto chunk =
         std::make_shared<const TraceChunk>(_emitted, std::move(recs));
     _emitted += take;

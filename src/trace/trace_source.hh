@@ -13,11 +13,13 @@
  *                       materialize at all.
  *   StreamingFileSource mmap-backed on-disk traces decoded chunk by
  *                       chunk (trace_file_source.hh).
- *   WcRewriteSource     streaming PC->WC rewrite of an inner source
+ *   WcRewriteSource     streaming PC->WC rewrite of an inner source,
+ *                       its chunks carrying their WC lock-role lanes
  *                       (rewriter.hh).
  *   LockRoleSource      re-serves an inner source's chunks, records
  *                       and lanes borrowed, with the lock-role lanes
- *                       SLE/TM read (lock_detector.hh).
+ *                       SLE/TM read; passes through chunks that carry
+ *                       them already (lock_detector.hh).
  *
  * Chunking is an execution detail, never a semantic one: any chunk
  * size yields the identical record stream, and the equivalence suite
@@ -46,7 +48,8 @@ namespace storemlp
 inline constexpr uint64_t kDefaultChunkInsts = uint64_t{1} << 16;
 
 /**
- * Per-record lock annotations a LockRoleSource attaches to a chunk.
+ * Per-record lock annotations a LockRoleSource or WcRewriteSource
+ * attaches to a chunk.
  * `role` holds a LockRole per record; where it is not None, `acqDist`
  * is the distance back to the acquire of that record's critical
  * section (0 for the acquire itself).
@@ -66,9 +69,14 @@ struct LockLanes
 class TraceChunk
 {
   public:
-    /** Owning chunk: records are moved in. */
-    TraceChunk(uint64_t first_idx, std::vector<TraceRecord> records)
-        : firstIdx(first_idx), _storage(std::move(records))
+    /**
+     * Owning chunk: records, and optionally their lock lanes (one
+     * entry per record), are moved in.
+     */
+    TraceChunk(uint64_t first_idx, std::vector<TraceRecord> records,
+               LockLanes locks = {})
+        : firstIdx(first_idx), _storage(std::move(records)),
+          _locks(std::move(locks))
     {
         data = _storage.data();
         count = _storage.size();
@@ -112,8 +120,8 @@ class TraceChunk
      * Pointers to this chunk's SoA lanes (see TraceLanes), so the
      * engine's record fetch and the scout's lookahead scan are linear
      * lane walks instead of strided struct reads. Index with
-     * `idx - firstIdx`. `role`/`acqDist` are the LockLanes of a
-     * LockRoleSource chunk and null on every other chunk.
+     * `idx - firstIdx`. `role`/`acqDist` are the chunk's LockLanes,
+     * null on a chunk that carries none.
      */
     struct LaneRefs
     {
@@ -131,6 +139,9 @@ class TraceChunk
      */
     LaneRefs lanes() const;
 
+    /** True if the chunk carries lock lanes. */
+    bool hasLockLanes() const { return !_locks.role.empty(); }
+
   private:
     std::vector<TraceRecord> _storage;
     std::shared_ptr<const void> _backing;
@@ -139,7 +150,7 @@ class TraceChunk
     uint64_t _extOff = 0; ///< index of data[0] within *_extLanes
 
     std::shared_ptr<const TraceChunk> _inner; ///< decorated chunk
-    LockLanes _locks; ///< decorated view's lock lanes
+    LockLanes _locks; ///< lock lanes, empty if the chunk carries none
 
     mutable TraceLanes _lanes; ///< derived lanes (no-_extLanes case)
     mutable std::once_flag _lanesOnce;
@@ -223,7 +234,7 @@ class TraceCursor
      * Structure-of-arrays window covering `idx`. Index the lanes with
      * `idx - first`; the view stays valid until the next cursor call.
      * nullptr once `idx` is past the end. `role`/`acqDist` are null
-     * unless the source is a LockRoleSource.
+     * unless the chunk carries lock lanes.
      */
     struct LaneView
     {
@@ -347,7 +358,8 @@ class GeneratorSource : public TraceSource
     uint32_t _chipId;
 
     std::optional<SyntheticTraceGenerator> _gen;
-    std::vector<TraceRecord> _pending; ///< generated, not yet chunked
+    /** The last slot's records past the previous chunk's end. */
+    std::vector<TraceRecord> _overshoot;
     uint64_t _generated = 0;           ///< records emitted by _gen
     uint64_t _emitted = 0;             ///< records handed out in chunks
     uint64_t _nextChunk = 0;

@@ -3,18 +3,22 @@
  * The lock-role stage and the single-pass run it enables. The stage
  * (LockRoleSource) must attach exactly the roles and pairs the batch
  * LockDetector finds, for every chunk size, borrowing the inner
- * chunks' records; and Runner::run must walk its source once, forward,
+ * chunks' records; the WC rewrite's own lock lanes must be the
+ * detector's verdict on its output, which the stage then passes
+ * through; and Runner::run must walk its source once, forward,
  * fetching every chunk exactly once.
  */
 
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/mlp_sim.hh"
 #include "core/runner.hh"
 #include "trace/generator.hh"
 #include "trace/lock_detector.hh"
@@ -23,6 +27,7 @@
 #include "trace/trace_io.hh"
 #include "trace/trace_source.hh"
 #include "sim_test_util.hh"
+#include "stats_hash.hh"
 
 namespace storemlp
 {
@@ -292,6 +297,233 @@ TEST(LockRoleStage, AcquireIndexMatchesPairTable)
 }
 
 // ---------------------------------------------------------------------
+// WC lock lanes served by the rewrite
+// ---------------------------------------------------------------------
+
+/** Each chunk's records and lock lanes, concatenated in stream order. */
+struct Served
+{
+    std::vector<TraceRecord> records;
+    std::vector<Tag> tags;
+};
+
+Served
+servedLanes(TraceSource &src)
+{
+    Served out;
+    forEachChunk(src, [&](const TraceChunk &c) {
+        TraceChunk::LaneRefs lanes = c.lanes();
+        ASSERT_NE(lanes.role, nullptr) << "chunk at " << c.firstIdx;
+        for (uint64_t off = 0; off < c.count; ++off) {
+            out.records.push_back(c.data[off]);
+            out.tags.push_back({static_cast<LockRole>(lanes.role[off]),
+                                c.firstIdx + off - lanes.acqDist[off]});
+        }
+    });
+    return out;
+}
+
+/**
+ * What the rewrite of `pc` must serve: the batch rewrite's records,
+ * tagged as the detector tags them on those records.
+ */
+struct WcReference
+{
+    explicit WcReference(const Trace &pc)
+        : wc(TraceRewriter().toWeakConsistency(pc)),
+          roles(LockDetector().analyze(wc).roles), tags(stageTags(wc, 4096))
+    {
+    }
+
+    Trace wc;
+    std::vector<LockRole> roles;
+    std::vector<Tag> tags;
+};
+
+void
+expectServesReference(const Trace &pc, const WcReference &ref,
+                      uint64_t chunk, const std::string &what)
+{
+    WcRewriteSource src(std::make_unique<MaterializedSource>(pc, chunk));
+    Served got = servedLanes(src);
+    std::string tag = what + " chunk " + std::to_string(chunk);
+    ASSERT_EQ(got.records.size(), ref.wc.size()) << tag;
+    for (uint64_t i = 0; i < ref.wc.size(); ++i) {
+        ASSERT_EQ(got.records[i].cls, ref.wc[i].cls) << tag << " @" << i;
+        ASSERT_EQ(got.records[i].pc, ref.wc[i].pc) << tag << " @" << i;
+        ASSERT_EQ(got.records[i].addr, ref.wc[i].addr) << tag << " @" << i;
+        ASSERT_EQ(got.tags[i].role, ref.roles[i]) << tag << " @" << i;
+        ASSERT_EQ(got.tags[i].role, ref.tags[i].role) << tag << " @" << i;
+        if (ref.roles[i] != LockRole::None) {
+            ASSERT_EQ(got.tags[i].acquire, ref.tags[i].acquire)
+                << tag << " @" << i;
+        }
+    }
+}
+
+TEST(WcRewriteSource, LockLanesEqualDetectorOnOutput)
+{
+    // The rewrite serves its WC records with lock lanes in place of a
+    // second detector pass, so they must be exactly the detector's
+    // verdict on the rewritten records, for every chunk size.
+    const WorkloadProfile profiles[] = {
+        WorkloadProfile::database(), WorkloadProfile::tpcw(),
+        WorkloadProfile::specjbb(), WorkloadProfile::specweb(),
+        WorkloadProfile::testTiny()};
+    uint64_t wc_pairs = 0;
+    for (const WorkloadProfile &profile : profiles) {
+        for (uint64_t seed = 0; seed <= 20; ++seed) {
+            Trace pc = SyntheticTraceGenerator(profile, seed).generate(6000);
+            WcReference ref(pc);
+            for (LockRole r : ref.roles)
+                wc_pairs += r == LockRole::Release;
+            for (uint64_t chunk : {1, 511, 4096, 65536}) {
+                expectServesReference(pc, ref, chunk,
+                                      profile.name + " seed " +
+                                          std::to_string(seed));
+            }
+        }
+    }
+    EXPECT_GT(wc_pairs, 1000u);
+}
+
+/** `body` filler records between a casa and its release store. */
+void
+section(TraceBuilder &b, uint64_t lock, unsigned body)
+{
+    b.casa(lock);
+    test::fillers(b, body);
+    b.store(lock);
+}
+
+void
+expectServesReferenceAllChunks(const Trace &pc, const std::string &what)
+{
+    WcReference ref(pc);
+    for (uint64_t chunk : kChunkSizes)
+        expectServesReference(pc, ref, chunk, what);
+}
+
+TEST(WcRewriteSource, LockLanesAtTheWcWindowEdge)
+{
+    // A PC section `d` records long is d + 3 long in WC: the rewrite
+    // expands it for d <= 512, but only d <= 509 still pairs there.
+    for (unsigned d = 509; d <= 513; ++d) {
+        TraceBuilder b;
+        test::fillers(b, 300);
+        section(b, 0x100, d - 1);
+        test::fillers(b, 600);
+        Trace pc = b.build();
+        WcReference ref(pc);
+        std::string what = "pc distance " + std::to_string(d);
+        EXPECT_EQ(ref.wc.size(), pc.size() + (d <= 512 ? 3 : 0)) << what;
+        uint64_t releases = 0;
+        for (LockRole r : ref.roles)
+            releases += r == LockRole::Release;
+        EXPECT_EQ(releases, d <= 509 ? 1u : 0u) << what;
+        for (uint64_t chunk : kChunkSizes)
+            expectServesReference(pc, ref, chunk, what);
+    }
+
+    // A section expanded inside another lengthens it by 3 more WC
+    // records: 505 + 6 pairs in WC, 507 + 6 does not.
+    for (unsigned outer : {505u, 507u}) {
+        TraceBuilder b;
+        b.casa(0x100);
+        test::fillers(b, 99);
+        section(b, 0x200, 9);
+        test::fillers(b, outer - 111);
+        b.store(0x100); // outer release, `outer` records after its casa
+        test::fillers(b, 600);
+        expectServesReferenceAllChunks(
+            b.build(), "outer distance " + std::to_string(outer));
+    }
+}
+
+TEST(WcRewriteSource, LockLanesOnHandBuiltIdioms)
+{
+    {
+        // Back-to-back sections on one lock, then one straddling the
+        // 512 and 1024 chunk boundaries.
+        TraceBuilder b;
+        section(b, 0x100, 3);
+        section(b, 0x100, 0);
+        b.casa(0x100);
+        b.store(0x100);
+        test::fillers(b, 1018 - b.size());
+        section(b, 0x100, 6);
+        test::fillers(b, 40);
+        expectServesReferenceAllChunks(b.build(), "back to back");
+    }
+    {
+        // A superseded casa, an unpaired casa, a release without an
+        // acquire, and an lwsync right before a paired release.
+        TraceBuilder b;
+        b.casa(0x100);
+        test::fillers(b, 4);
+        b.casa(0x100); // supersedes the first
+        b.casa(0x300); // never released
+        b.store(0x400); // no acquire
+        test::fillers(b, 3);
+        b.lwsync();
+        b.store(0x100);
+        test::fillers(b, 700);
+        b.store(0x300); // too late to pair
+        test::fillers(b, 20);
+        expectServesReferenceAllChunks(b.build(), "unpaired");
+    }
+    {
+        // WC idioms already in the PC stream, and a casa directly
+        // before a section's lwarx/stwcx (a shared aux record).
+        TraceBuilder b;
+        b.loadLocked(0x200, 2);
+        b.storeCond(0x200, 2);
+        b.isync();
+        test::fillers(b, 5);
+        b.lwsync();
+        b.store(0x200);
+        b.casa(0x100);
+        b.loadLocked(0x500, 2);
+        b.storeCond(0x500, 2);
+        b.alu();
+        b.store(0x100);
+        b.alu();
+        b.store(0x500);
+        test::fillers(b, 30);
+        expectServesReferenceAllChunks(b.build(), "native wc idioms");
+    }
+}
+
+TEST(WcRewriteSource, LockLanesOnRandomIdioms)
+{
+    // Random streams dense in every idiom the detector reads, on a
+    // few lock words, with gaps that cross the pairing window.
+    Pcg32 rng(2024, 7);
+    for (int trial = 0; trial < 40; ++trial) {
+        TraceBuilder b;
+        while (b.size() < 3000) {
+            uint64_t lock = 0x100 + 0x40 * rng.below(3);
+            switch (rng.below(9)) {
+              case 0: b.casa(lock); break;
+              case 1: b.store(lock); break;
+              case 2: b.loadLocked(lock).storeCond(lock); break;
+              case 3: b.loadLocked(lock); break;
+              case 4: b.isync(); break;
+              case 5: b.lwsync(); break;
+              case 6: b.storeCond(lock); break;
+              case 7: test::fillers(b, rng.below(600)); break;
+              default: test::fillers(b, rng.below(40)); break;
+            }
+        }
+        Trace pc = b.build();
+        WcReference ref(pc);
+        for (uint64_t chunk : {1, 97, 512, 4096})
+            expectServesReference(pc, ref, chunk,
+                                  "trial " + std::to_string(trial));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Single-pass runs
 // ---------------------------------------------------------------------
 
@@ -348,6 +580,7 @@ passCases()
     SimConfig tm = SimConfig::defaults();
     tm.tm.enabled = true;
     return {{"pc1", SimConfig::defaults()},
+            {"pc3", SimConfig::pc3()},
             {"wc3", SimConfig::wc3()},
             {"tm", tm}};
 }
@@ -389,6 +622,95 @@ TEST(RunnerSinglePass, GeneratorChainFetchesEachChunkOnce)
                       *src.knownSize() - spec.warmupInsts)
                 << what;
         }
+    }
+}
+
+/** Keeps every chunk a source serves, in fetch order. */
+class RecordingSource : public TraceSource
+{
+  public:
+    explicit RecordingSource(std::unique_ptr<TraceSource> inner)
+        : TraceSource(inner->chunkInsts()), _inner(std::move(inner))
+    {
+    }
+
+    std::shared_ptr<const TraceChunk>
+    fetch(uint64_t chunk_idx) override
+    {
+        std::shared_ptr<const TraceChunk> c = _inner->fetch(chunk_idx);
+        if (c)
+            served.push_back(c);
+        return c;
+    }
+    std::optional<uint64_t> knownSize() const override
+    {
+        return _inner->knownSize();
+    }
+
+    std::vector<std::shared_ptr<const TraceChunk>> served;
+
+  private:
+    std::unique_ptr<TraceSource> _inner;
+};
+
+TEST(RunnerSinglePass, WcRunDetectsOnce)
+{
+    // wc3 elides locks, so the engine reads its input through a
+    // lock-role stage: over the rewrite, the stage passes the
+    // rewrite's chunks through, lanes and all, instead of detecting
+    // again.
+    RunSpec spec = passSpec(SimConfig::wc3());
+    RecordingSource rewrite(Runner::makeSource(spec, 4096));
+    std::optional<LockRoleSource> stage;
+    TraceSource &in = engineInput(spec.config, rewrite, stage);
+    ASSERT_TRUE(stage.has_value());
+    TraceCursor cur(in);
+    uint64_t i = 0;
+    for (const TraceCursor::LaneView *v; (v = cur.view(i)); i += v->count) {
+        ASSERT_EQ(rewrite.served.size(), i / 4096 + 1);
+        const TraceChunk &c = *rewrite.served.back();
+        TraceChunk::LaneRefs lanes = c.lanes();
+        EXPECT_EQ(v->first, c.firstIdx);
+        EXPECT_EQ(v->pc, lanes.pc);
+        EXPECT_EQ(v->role, lanes.role);
+        EXPECT_EQ(v->acqDist, lanes.acqDist);
+        EXPECT_NE(v->role, nullptr);
+        cur.trim(i + v->count);
+    }
+    EXPECT_EQ(i, *rewrite.knownSize());
+
+    // The run over that chain is the materialized run, bit for bit.
+    RecordingSource chain(Runner::makeSource(spec, 4096));
+    EXPECT_EQ(test::hashRunOutput(Runner::run(spec, chain)),
+              test::hashRunOutput(test::runMaterialized(spec)));
+
+    // PC runs with SLE or TM still detect in the stage.
+    SimConfig tm = SimConfig::defaults();
+    tm.tm.enabled = true;
+    for (const SimConfig &cfg : {SimConfig::pc3(), tm}) {
+        RunSpec pc_spec = passSpec(cfg);
+        LockAnalysis ref =
+            LockDetector().analyze(Runner::buildTrace(pc_spec));
+        RecordingSource gen(Runner::makeSource(pc_spec, 4096));
+        std::optional<LockRoleSource> pc_stage;
+        TraceSource &pc_in = engineInput(cfg, gen, pc_stage);
+        ASSERT_TRUE(pc_stage.has_value()) << cfg.name;
+        uint64_t pairs = 0;
+        for (uint64_t k = 0; std::shared_ptr<const TraceChunk> c =
+                                 pc_in.fetch(k);
+             ++k) {
+            EXPECT_FALSE(gen.served[k]->hasLockLanes()) << cfg.name;
+            EXPECT_NE(c.get(), gen.served[k].get()) << cfg.name;
+            TraceChunk::LaneRefs lanes = c->lanes();
+            ASSERT_NE(lanes.role, nullptr) << cfg.name;
+            for (uint64_t off = 0; off < c->count; ++off) {
+                auto role = static_cast<LockRole>(lanes.role[off]);
+                ASSERT_EQ(role, ref.roles[c->firstIdx + off]) << cfg.name;
+                pairs += role == LockRole::Release;
+            }
+        }
+        EXPECT_EQ(pairs, ref.pairs.size()) << cfg.name;
+        EXPECT_GT(pairs, 0u) << cfg.name;
     }
 }
 

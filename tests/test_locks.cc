@@ -4,6 +4,9 @@
  * (paper Section 4.2 methodology).
  */
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "trace/generator.hh"
@@ -213,6 +216,70 @@ TEST(Rewriter, NonLockRecordsUnchanged)
     for (size_t i = 0; i < t.size(); ++i) {
         EXPECT_EQ(wc[i].cls, t[i].cls);
         EXPECT_EQ(wc[i].addr, t[i].addr);
+    }
+}
+
+/** FNV-1a over the bytes of `v`, continuing from `h`. */
+template <typename T>
+uint64_t
+fnvMix(uint64_t h, const T &v)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(&v);
+    for (size_t i = 0; i < sizeof(v); ++i) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(LockDetector, FrozenAnalysisDigests)
+{
+    // Digests of LockDetector().analyze (every role, every pair) over
+    // seeds 0-3 of each profile, in PC and in WC rendition. Recorded
+    // from the per-record ring detector before the sparse scan
+    // replaced it; never regenerate them.
+    struct Pin
+    {
+        const char *profile;
+        WorkloadProfile (*make)();
+        const char *pc;
+        const char *wc;
+    };
+    const Pin pins[] = {
+        {"database", WorkloadProfile::database,
+         "b6dc8dd47080f135", "729637acf1d77a14"},
+        {"tpcw", WorkloadProfile::tpcw,
+         "92f1cc12b5607560", "958fdbef1bd6dfb6"},
+        {"specjbb", WorkloadProfile::specjbb,
+         "835ada02236f62ba", "adb47b71d1718cb0"},
+        {"specweb", WorkloadProfile::specweb,
+         "4531ee3aedd8e794", "39548b4de0e3f60b"},
+        {"tiny", WorkloadProfile::testTiny,
+         "7d6a29762686fc5b", "32640cd7e031973a"},
+    };
+    for (const Pin &pin : pins) {
+        for (bool wc : {false, true}) {
+            uint64_t h = 1469598103934665603ULL;
+            for (uint64_t seed = 0; seed < 4; ++seed) {
+                Trace t =
+                    SyntheticTraceGenerator(pin.make(), seed).generate(30000);
+                if (wc)
+                    t = TraceRewriter().toWeakConsistency(t);
+                LockAnalysis a = LockDetector().analyze(t);
+                for (LockRole r : a.roles)
+                    h = fnvMix(h, r);
+                for (const LockPair &p : a.pairs) {
+                    h = fnvMix(h, p.acquireIdx);
+                    h = fnvMix(h, p.releaseIdx);
+                    h = fnvMix(h, p.lockAddr);
+                }
+            }
+            char got[32];
+            std::snprintf(got, sizeof(got), "%016llx",
+                          static_cast<unsigned long long>(h));
+            EXPECT_EQ(std::string(got), wc ? pin.wc : pin.pc)
+                << pin.profile << (wc ? " wc" : " pc");
+        }
     }
 }
 
